@@ -20,16 +20,22 @@
 //	      -autoscale 2:8                          # autoscaled fleet
 //
 // A scenario file is the JSON encoding of extsched.Scenario: a warmup,
-// a sample interval, and an ordered list of phases (closed, open,
-// ramp, burst, trace) with optional mid-phase events (set_mpl,
-// set_wfq_high_weight, set_shard_speed, set_dispatch,
-// enable_controller, disable_controller, set_slo, disable_slo,
-// set_class_limits, set_admit_deadline, shard_fail, shard_recover,
-// shard_add, shard_remove) and an optional per-phase churn generator
-// (mtbf/mttr). With -scenario, dbsim prints a per-phase report table
-// and, when the scenario sets sample_interval, the interval time
-// series; sharded systems (-shards) append a per-shard table with
-// lifecycle state and availability.
+// a sample interval, an optional tenants block with scenario-level
+// fairness and autoscale specs, and an ordered list of phases (closed,
+// open, ramp, burst, trace, diurnal, flash) with optional mid-phase
+// events (set_mpl, set_weights, set_tenant_limits,
+// set_tenant_deadlines, enable_fairness, disable_fairness,
+// set_shard_speed, set_dispatch, enable_controller,
+// disable_controller, set_slo, disable_slo, set_class_limits,
+// set_admit_deadline, shard_fail, shard_recover, shard_add,
+// shard_remove) and an optional per-phase churn generator (mtbf/mttr).
+// Which events suit an unsharded or a sharded system is the capability
+// table's call (README "Feature combinations"); a scenario that asks
+// for an unsupported combination fails before it runs. With -scenario,
+// dbsim prints a per-phase report table, a per-tenant table and, when
+// the scenario sets sample_interval, the interval time series; sharded
+// systems (-shards) append a per-shard table with lifecycle state and
+// availability.
 package main
 
 import (
@@ -400,9 +406,6 @@ func printReport(out io.Writer, rep extsched.Report) {
 		fmt.Fprintf(out, "rejected:         %d shed past deadline (high %d, low %d), %d dropped\n",
 			rep.Shed, rep.ShedHigh, rep.ShedLow, rep.Dropped)
 	}
-	if rep.HighP95 > 0 || rep.LowP95 > 0 {
-		fmt.Fprintf(out, "p95 by class:     high %.4f s, low %.4f s\n", rep.HighP95, rep.LowP95)
-	}
 	if rep.Failed > 0 || rep.Resubmitted > 0 || rep.Retries > 0 {
 		fmt.Fprintf(out, "shard faults:     %d txns lost, %d resubmitted (%d retries)\n",
 			rep.Failed, rep.Resubmitted, rep.Retries)
@@ -419,9 +422,6 @@ func runScenarioFile(sys *extsched.System, path string, autoscale *extsched.Auto
 	sc, err := extsched.ParseScenario(data)
 	if err != nil {
 		return err
-	}
-	for _, d := range sc.Deprecations() {
-		fmt.Fprintf(os.Stderr, "dbsim: deprecated: %s\n", d)
 	}
 	if autoscale != nil {
 		sc.Autoscale = autoscale

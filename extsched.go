@@ -95,18 +95,20 @@ type Config struct {
 	// comparison; pure external scheduling never drops).
 	QueueLimit int
 	// PercentileSamples, when > 0, reservoir-samples response times so
-	// Report carries P50/P95/P99 and the per-class HighP95/LowP95.
+	// Report carries P50/P95/P99 and the per-class P95s in Classes.
 	// Setting SLO or AdmitDeadline defaults it to 2048 — those features
 	// are judged by per-class tails, so the report must carry them.
 	PercentileSamples int
 	// SLO, when non-nil, runs every scenario under the latency-SLO
 	// controller from the start of its measurement window: the MPL is
 	// partitioned across the classes and the split steered to hold the
-	// protected class's percentile target. Requires MPL >= 2 and an
-	// unsharded system. Scenario SetSLO events can replace it mid-run.
+	// protected class's percentile target. Requires MPL >= 2; the
+	// capability table's SLO row applies (unsharded systems only).
+	// Scenario SetSLO events can replace it mid-run.
 	SLO *SLOSpec
 	// ClassLimits, when non-nil, installs a static per-class MPL
-	// partition from the start (unsharded systems only).
+	// partition from the start (both limits >= 1; the capability
+	// table's partition row applies).
 	ClassLimits *ClassLimits
 	// AdmitDeadline, when non-nil, sets per-class admission deadlines:
 	// transactions that cannot start in time are shed (counted in
@@ -204,36 +206,32 @@ func (c Config) Validate() error {
 	if c.PercentileSamples < 0 {
 		return fmt.Errorf("extsched: PercentileSamples %d must be >= 0", c.PercentileSamples)
 	}
+	if c.Shards.Count < 0 {
+		return fmt.Errorf("extsched: Shards.Count %d must be >= 0", c.Shards.Count)
+	}
 	if s := c.SLO; s != nil {
-		rs, err := s.spec()
-		if err != nil {
-			return err
-		}
-		if err := rs.Validate(); err != nil {
+		if err := s.Validate(); err != nil {
 			return err
 		}
 		if c.MPL < 2 {
 			return fmt.Errorf("extsched: SLO control needs MPL >= 2 to partition, have %d", c.MPL)
 		}
-		if c.Shards.Count > 0 {
-			return fmt.Errorf("extsched: SLO control on a sharded system is not supported")
+		if err := runner.FeatureSLO.Check("Config.SLO", c.Shards.Count, false); err != nil {
+			return err
 		}
 	}
 	if cl := c.ClassLimits; cl != nil {
 		if cl.High < 1 || cl.Low < 1 {
 			return fmt.Errorf("extsched: class limits high=%d low=%d must both be >= 1", cl.High, cl.Low)
 		}
-		if c.Shards.Count > 0 {
-			return fmt.Errorf("extsched: ClassLimits on a sharded system is not supported")
+		if err := runner.FeaturePartition.Check("Config.ClassLimits", c.Shards.Count, false); err != nil {
+			return err
 		}
 	}
 	if ad := c.AdmitDeadline; ad != nil {
-		if ad.High < 0 || ad.Low < 0 {
-			return fmt.Errorf("extsched: admit deadlines high=%v low=%v must be >= 0", ad.High, ad.Low)
+		if err := ad.Validate(); err != nil {
+			return err
 		}
-	}
-	if c.Shards.Count < 0 {
-		return fmt.Errorf("extsched: Shards.Count %d must be >= 0", c.Shards.Count)
 	}
 	if n := len(c.Shards.Speeds); n > 0 && n != c.Shards.Count {
 		return fmt.Errorf("extsched: Shards.Speeds has %d entries for %d shards", n, c.Shards.Count)
@@ -399,17 +397,37 @@ func (s *System) buildStack(mpl int, parallel bool) (runner.Stack, error) {
 		Seed:              cfg.Seed,
 	}
 	// An SLO or shedding config is judged by per-class tails: without
-	// sampling, Report.HighP95/LowP95 would read 0 while the controller
+	// sampling, the per-class P95s would read 0 while the controller
 	// steers on real percentiles. Default the sampling on.
 	if st.PercentileSamples == 0 && (cfg.SLO != nil || cfg.AdmitDeadline != nil) {
 		st.PercentileSamples = 2048
 	}
-	if cfg.SLO != nil {
-		rs, err := cfg.SLO.spec()
+	st.SLO = cfg.SLO
+	// backend builds one DBMS+frontend pair on eng: the lone backend,
+	// or one shard of the fleet (Config.Validate keeps ClassLimits off
+	// sharded configs).
+	backend := func(eng *sim.Engine, dbo workload.DBOptions, mpl int) (*dbms.DB, *dbfe.Frontend, error) {
+		db, err := dbms.New(eng, s.setup.BuildConfig(dbo))
 		if err != nil {
-			return runner.Stack{}, err
+			return nil, nil, err
 		}
-		st.SLO = &rs
+		policy, err := core.NewPolicy(cfg.Policy, wfqWeights)
+		if err != nil {
+			return nil, nil, err
+		}
+		fe := dbfe.New(eng, db, mpl, policy)
+		if cfg.QueueLimit > 0 {
+			fe.SetQueueLimit(cfg.QueueLimit)
+		}
+		if cl := cfg.ClassLimits; cl != nil {
+			fe.SetClassLimits(map[core.Class]int{core.ClassHigh: cl.High, core.ClassLow: cl.Low})
+		}
+		if ad := cfg.AdmitDeadline; ad != nil {
+			fe.SetAdmitDeadline(core.ClassHigh, ad.High)
+			fe.SetAdmitDeadline(core.ClassLow, ad.Low)
+		}
+		workload.Prewarm(db, s.setup.Workload, dbo.Seed)
+		return db, fe, nil
 	}
 	if n := cfg.Shards.Count; n > 0 {
 		// Sharded: n identical DBMS+frontend pairs (per-shard queue
@@ -429,23 +447,10 @@ func (s *System) buildStack(mpl int, parallel bool) (runner.Stack, error) {
 				seng = sim.NewEngine()
 				seng.AdvanceTo(eng.Now())
 			}
-			db, err := dbms.New(seng, s.setup.BuildConfig(sdbo))
+			db, fe, err := backend(seng, sdbo, 0)
 			if err != nil {
 				return cluster.Shard{}, err
 			}
-			policy, err := core.NewPolicy(cfg.Policy, wfqWeights)
-			if err != nil {
-				return cluster.Shard{}, err
-			}
-			fe := dbfe.New(seng, db, 0, policy)
-			if cfg.QueueLimit > 0 {
-				fe.SetQueueLimit(cfg.QueueLimit)
-			}
-			if ad := cfg.AdmitDeadline; ad != nil {
-				fe.SetAdmitDeadline(core.ClassHigh, ad.High)
-				fe.SetAdmitDeadline(core.ClassLow, ad.Low)
-			}
-			workload.Prewarm(db, s.setup.Workload, sdbo.Seed)
 			sh := cluster.Shard{FE: fe, DB: db, Speed: speed}
 			if parallel {
 				sh.Eng = seng
@@ -497,26 +502,10 @@ func (s *System) buildStack(mpl int, parallel bool) (runner.Stack, error) {
 		st.Recovery = &rp
 		return st, nil
 	}
-	db, err := dbms.New(eng, s.setup.BuildConfig(dbo))
+	db, fe, err := backend(eng, dbo, mpl)
 	if err != nil {
 		return runner.Stack{}, err
 	}
-	policy, err := core.NewPolicy(cfg.Policy, wfqWeights)
-	if err != nil {
-		return runner.Stack{}, err
-	}
-	fe := dbfe.New(eng, db, mpl, policy)
-	if cfg.QueueLimit > 0 {
-		fe.SetQueueLimit(cfg.QueueLimit)
-	}
-	if cl := cfg.ClassLimits; cl != nil {
-		fe.SetClassLimits(map[core.Class]int{core.ClassHigh: cl.High, core.ClassLow: cl.Low})
-	}
-	if ad := cfg.AdmitDeadline; ad != nil {
-		fe.SetAdmitDeadline(core.ClassHigh, ad.High)
-		fe.SetAdmitDeadline(core.ClassLow, ad.Low)
-	}
-	workload.Prewarm(db, s.setup.Workload, cfg.Seed)
 	st.DB, st.FE = db, fe
 	return st, nil
 }
@@ -551,13 +540,21 @@ type Report struct {
 	Resubmitted   uint64  // logical txns re-routed to a survivor at least once
 	Retries       uint64  // resubmission events (one txn can retry several times)
 	P50, P95, P99 float64 // response-time percentiles (PercentileSamples mode)
-	HighP95       float64 // high-class p95 (PercentileSamples mode) — the SLO signal
-	LowP95        float64 // low-class p95 (PercentileSamples mode)
 	// Classes is the per-tenant breakdown of the window, in ascending
 	// class-ID order: one entry per class that completed or shed work.
-	// The N-tenant generalization of the High/Low fields above (which
-	// remain for two-class runs).
+	// Per-class tails (the SLO signal) live here; Class looks one up.
 	Classes []ClassResult
+}
+
+// Class returns the entry for class ID id (the zero entry, with Class
+// set, when the class neither completed nor shed work in the window).
+func (r Report) Class(id int) ClassResult {
+	for _, c := range r.Classes {
+		if c.Class == id {
+			return c
+		}
+	}
+	return ClassResult{Class: id}
 }
 
 // RunClosed drives the system with a fixed client population (the

@@ -45,6 +45,10 @@ func TestConfigValidate(t *testing.T) {
 		{"negative WFQ weight", Config{SetupID: 1, Policy: PolicyWFQ, WFQHighWeight: -3}, "WFQHighWeight"},
 		{"negative queue limit", Config{SetupID: 1, QueueLimit: -1}, "QueueLimit"},
 		{"negative percentile samples", Config{SetupID: 1, PercentileSamples: -5}, "PercentileSamples"},
+		{"SLO on shards", Config{SetupID: 1, MPL: 8, Shards: ShardSpec{Count: 2}, SLO: &SLOSpec{Target: 1}},
+			"Config.SLO: SLO control is not supported on a sharded system"},
+		{"class limits on shards", Config{SetupID: 1, MPL: 8, Shards: ShardSpec{Count: 2}, ClassLimits: &ClassLimits{High: 2, Low: 6}},
+			"Config.ClassLimits: a class partition is not supported on a sharded system"},
 		{"valid minimal", Config{SetupID: 1}, ""},
 		{"valid full", Config{
 			Workload: "W_CPU-inventory", CPUs: 2, Disks: 1, Isolation: "SI",

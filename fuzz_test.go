@@ -22,7 +22,7 @@ func FuzzParseScenario(f *testing.F) {
 	f.Add([]byte(`{"phases":[{"kind":"closed","duration":10,"clients":5,"think_time":0.1}]}`))
 	f.Add([]byte(`{"warmup":5,"sample_interval":1,"phases":[
 		{"kind":"open","duration":10,"lambda":50,
-		 "events":[{"at":2,"set_mpl":4},{"at":3,"set_wfq_high_weight":2.5}]},
+		 "events":[{"at":2,"set_mpl":4},{"at":3,"set_weights":{"high":2.5}}]},
 		{"kind":"ramp","duration":10,"lambda":10,"lambda2":90},
 		{"kind":"burst","duration":10,"lambda":40,"burst_factor":2,"burst_period":5}]}`))
 	f.Add([]byte(`{"phases":[{"kind":"closed","duration":5,

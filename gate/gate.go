@@ -548,9 +548,8 @@ func (g *Gate) SetWFQWeights(weights map[Class]float64) (ok bool, err error) {
 // streams to its observers, so live and simulated measurements compare
 // field for field. In a Stats value the completion counters cover the
 // whole current metrics window and Dropped/Canceled/Errors are
-// lifetime totals; Classes splits the window per tenant class (the
-// deprecated HighResponse()/LowResponse() accessors derive from it);
-// MeanInside is the admitted (dispatch-to-release) portion of the
+// lifetime totals; Classes splits the window per tenant class (Class
+// looks one up by ID); MeanInside is the admitted (dispatch-to-release) portion of the
 // response time. Only the fields a live gate genuinely cannot know —
 // Phase, CPUUtil, DiskUtil, Restarts — stay zero here.
 type Stats = metrics.Snapshot

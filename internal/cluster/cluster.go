@@ -611,15 +611,6 @@ func (d *Dispatcher) Shed() uint64 {
 	return n
 }
 
-// ShedByClass returns class c's share of the fleet's shed count.
-func (d *Dispatcher) ShedByClass(c core.Class) uint64 {
-	var n uint64
-	for i := range d.shards {
-		n += d.shards[i].FE.ShedByClass(c)
-	}
-	return n
-}
-
 // Metrics aggregates the shards' metrics windows into one cluster-wide
 // view (parallel Welford merges; the window length is shard 0's, since
 // all shards share one clock and reset together).

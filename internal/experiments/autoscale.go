@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"extsched/internal/core"
 	"fmt"
 
 	"extsched/internal/runner"
@@ -100,7 +101,7 @@ func AutoscaleFigure(setupID int, opts RunOpts) (*Figure, error) {
 		for j := range speeds {
 			speeds[j] = 1
 		}
-		st, err := buildShardedStack(setup, speeds, "jsq-d:3", perShardMPL*c.shards, workload.DBOptions{}, opts)
+		st, err := buildShardedStack(setup, speeds, "jsq-d:3", perShardMPL*c.shards, workload.DBOptions{}, opts, false)
 		if err != nil {
 			return autoscaleOutcome{}, err
 		}
@@ -110,7 +111,7 @@ func AutoscaleFigure(setupID int, opts RunOpts) (*Figure, error) {
 		o.fleet = Series{Name: "fleet size " + c.label}
 		out, err := runner.Run(opts.ctx(), st, spec(c.asc), metrics.ObserverFunc(func(s metrics.Snapshot) {
 			o.rt.X = append(o.rt.X, s.Time)
-			o.rt.Y = append(o.rt.Y, s.HighResponse())
+			o.rt.Y = append(o.rt.Y, s.Class(int(core.ClassHigh)).Mean)
 			o.fleet.X = append(o.fleet.X, s.Time)
 			o.fleet.Y = append(o.fleet.Y, float64(s.FleetUp))
 		}))
@@ -134,7 +135,7 @@ func AutoscaleFigure(setupID int, opts RunOpts) (*Figure, error) {
 		f.Series = append(f.Series, results[i].rt, results[i].fleet)
 		f.Notes = append(f.Notes, fmt.Sprintf(
 			"%s: high p95 %.3gs, throughput %.2f tx/s, completed %d",
-			c.label, r.HighP95, r.Throughput(), r.Completed))
+			c.label, r.Class(core.ClassHigh).P95, r.Throughput(), r.Completed))
 	}
 	auto, fixed := results[0].out, results[1].out
 	rep := auto.Autoscale
@@ -148,6 +149,6 @@ func AutoscaleFigure(setupID int, opts RunOpts) (*Figure, error) {
 		fmt.Sprintf("capacity bill: %.0f shard-seconds autoscaled vs %.0f fixed (%.0f%% saved)",
 			rep.ShardSeconds, fixedBill, 100*(1-rep.ShardSeconds/fixedBill)),
 		fmt.Sprintf("expect: the fleet-size series tracks the diurnal curve and the high-class p95 stays comparable (%.3gs vs %.3gs) while the bill drops",
-			auto.Total.HighP95, fixed.Total.HighP95))
+			auto.Total.Class(core.ClassHigh).P95, fixed.Total.Class(core.ClassHigh).P95))
 	return f, nil
 }

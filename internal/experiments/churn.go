@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"extsched/internal/cluster"
+	"extsched/internal/core"
 	"extsched/internal/runner"
 	"extsched/internal/workload"
 	"extsched/metrics"
@@ -96,7 +97,7 @@ func ChurnFigure(setupID int, opts RunOpts) (*Figure, error) {
 	}
 	results, err := SweepContext(opts.ctx(), len(configs), func(i int) (churnOutcome, error) {
 		c := configs[i]
-		st, err := buildShardedStack(setup, speeds, c.dispatch, mplTotal, workload.DBOptions{}, opts)
+		st, err := buildShardedStack(setup, speeds, c.dispatch, mplTotal, workload.DBOptions{}, opts, false)
 		if err != nil {
 			return churnOutcome{}, err
 		}
@@ -107,7 +108,7 @@ func ChurnFigure(setupID int, opts RunOpts) (*Figure, error) {
 		o.series = Series{Name: "high mean RT " + c.label}
 		out, err := runner.Run(opts.ctx(), st, spec(), metrics.ObserverFunc(func(s metrics.Snapshot) {
 			o.series.X = append(o.series.X, s.Time)
-			o.series.Y = append(o.series.Y, s.HighResponse())
+			o.series.Y = append(o.series.Y, s.Class(int(core.ClassHigh)).Mean)
 		}))
 		if err != nil {
 			return churnOutcome{}, err
@@ -130,17 +131,17 @@ func ChurnFigure(setupID int, opts RunOpts) (*Figure, error) {
 		f.Series = append(f.Series, Series{
 			Name: "highP95 " + c.label,
 			X:    []float64{0},
-			Y:    []float64{r.HighP95},
+			Y:    []float64{r.Class(core.ClassHigh).P95},
 		})
 		f.Notes = append(f.Notes, fmt.Sprintf(
 			"%s: high p95 %.3gs, throughput %.2f tx/s, failed %d, resubmitted %d, retries %d",
-			c.label, r.HighP95, r.Throughput(), r.Failed, r.Resubmitted, r.Retries))
+			c.label, r.Class(core.ClassHigh).P95, r.Throughput(), r.Failed, r.Resubmitted, r.Retries))
 	}
 	resub, shed := results[0].out.Total, results[1].out.Total
 	f.Notes = append(f.Notes,
 		fmt.Sprintf("fleet capacity %.2f tx/s; shard %d down from %.3gs to %.3gs of the burst phase",
 			capacity, victim, 0.3*seg, 0.7*seg),
 		fmt.Sprintf("expect: resubmit+jsq holds the high-class tail (p95 %.3gs vs %.3gs) and loses no work (failed %d vs %d)",
-			resub.HighP95, shed.HighP95, resub.Failed, shed.Failed))
+			resub.Class(core.ClassHigh).P95, shed.Class(core.ClassHigh).P95, resub.Failed, shed.Failed))
 	return f, nil
 }

@@ -30,21 +30,38 @@ func buildShard(eng *sim.Engine, setup workload.Setup, dbo workload.DBOptions, s
 	return cluster.Shard{FE: fe, DB: db, Speed: speed}, nil
 }
 
-// buildShardedStack assembles a sharded dispatch stack: one engine,
-// len(speeds) DBMS+frontend pairs at the given relative CPU speeds,
-// and a dispatcher with the named policy. mplTotal is the cluster-wide
-// MPL (split across shards). The stack carries a NewShard factory so
+// buildShardedStack assembles a sharded dispatch stack: len(speeds)
+// DBMS+frontend pairs at the given relative CPU speeds behind a
+// dispatcher with the named policy. mplTotal is the cluster-wide MPL
+// (split across shards). The stack carries a NewShard factory so
 // autoscaled specs can grow the fleet past the built set; policies are
 // seed-aware, so sampled dispatch ("jsq-d") reruns bit-identically
-// while the plain policies ignore the seed entirely.
-func buildShardedStack(setup workload.Setup, speeds []float64, dispatch string, mplTotal int, dbo workload.DBOptions, opts RunOpts) (runner.Stack, error) {
+// while the plain policies ignore the seed entirely. With parallel,
+// every shard's pair runs on its own member engine under a
+// conservative parallel ensemble (sim.ParallelEngine), the dispatcher
+// acting as the cross-engine message boundary: same seeds, same
+// per-shard event streams — only the execution strategy differs.
+func buildShardedStack(setup workload.Setup, speeds []float64, dispatch string, mplTotal int, dbo workload.DBOptions, opts RunOpts, parallel bool) (runner.Stack, error) {
 	if dbo.Seed == 0 {
 		dbo.Seed = opts.Seed
 	}
 	eng := sim.NewEngine()
+	// newShard builds shard i on the one engine, or on a member engine
+	// started at the coordinator's instant (mid-run shard_add events
+	// build shards at t > 0).
+	newShard := func(i int, speed float64) (cluster.Shard, error) {
+		if !parallel {
+			return buildShard(eng, setup, dbo, speed, i, opts)
+		}
+		meng := sim.NewEngine()
+		meng.AdvanceTo(eng.Now())
+		sh, err := buildShard(meng, setup, dbo, speed, i, opts)
+		sh.Eng = meng
+		return sh, err
+	}
 	shards := make([]cluster.Shard, len(speeds))
 	for i, speed := range speeds {
-		sh, err := buildShard(eng, setup, dbo, speed, i, opts)
+		sh, err := newShard(i, speed)
 		if err != nil {
 			return runner.Stack{}, err
 		}
@@ -64,8 +81,18 @@ func buildShardedStack(setup workload.Setup, speeds []float64, dispatch string, 
 		return runner.Stack{}, err
 	}
 	st := runner.Stack{Eng: eng, Cluster: disp, Gen: gen, Seed: opts.Seed}
-	st.NewShard = func(i int) (cluster.Shard, error) {
-		return buildShard(eng, setup, dbo, 1, i, opts)
+	st.NewShard = func(i int) (cluster.Shard, error) { return newShard(i, 1) }
+	if parallel {
+		engs := make([]*sim.Engine, len(shards))
+		for i := range shards {
+			engs[i] = shards[i].Eng
+		}
+		pe := sim.NewParallelEngine(eng, engs, disp)
+		if err := disp.EnableParallel(pe); err != nil {
+			pe.Close()
+			return runner.Stack{}, err
+		}
+		st.Par = pe
 	}
 	return st, nil
 }
@@ -84,7 +111,7 @@ type DispatchPoint struct {
 // RunDispatch measures one dispatch policy on a heterogeneous shard
 // fleet under open Poisson arrivals at the given rate.
 func RunDispatch(setup workload.Setup, speeds []float64, dispatch string, mplTotal int, lambda float64, opts RunOpts) (DispatchPoint, error) {
-	st, err := buildShardedStack(setup, speeds, dispatch, mplTotal, workload.DBOptions{}, opts)
+	st, err := buildShardedStack(setup, speeds, dispatch, mplTotal, workload.DBOptions{}, opts, false)
 	if err != nil {
 		return DispatchPoint{}, err
 	}

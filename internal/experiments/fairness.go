@@ -146,7 +146,7 @@ func fairnessFigure(setupID, mpl int, pvFrac, victimWeight float64, aggFactor in
 			// never drains an unpartitioned warmup backlog.
 			fe.SetClassLimits(fairness.Allocate(mpl, weights))
 			fe.SetStrictPartition(true)
-			st.Fairness = &runner.FairnessSpec{Weights: weights, Strict: true, MinObservations: 100, Hysteresis: 2}
+			st.Fairness = &fairness.Config{Weights: weights, Strict: true, MinObservations: 100, Hysteresis: 2}
 		}
 		spec := runner.Spec{
 			Warmup: opts.Warmup,

@@ -5,66 +5,9 @@ import (
 	"reflect"
 	"time"
 
-	"extsched/internal/cluster"
 	"extsched/internal/runner"
-	"extsched/internal/sim"
 	"extsched/internal/workload"
 )
-
-// buildParallelShardedStack is buildShardedStack with every shard's
-// DBMS+frontend pair on its own member engine and a conservative
-// parallel ensemble (sim.ParallelEngine) over the fleet, the dispatcher
-// acting as the cross-engine message boundary. Same seeds, same per-
-// shard event streams — only the execution strategy differs.
-func buildParallelShardedStack(setup workload.Setup, speeds []float64, dispatch string, mplTotal int, dbo workload.DBOptions, opts RunOpts) (runner.Stack, error) {
-	if dbo.Seed == 0 {
-		dbo.Seed = opts.Seed
-	}
-	coord := sim.NewEngine()
-	shards := make([]cluster.Shard, len(speeds))
-	engs := make([]*sim.Engine, len(speeds))
-	for i, speed := range speeds {
-		meng := sim.NewEngine()
-		sh, err := buildShard(meng, setup, dbo, speed, i, opts)
-		if err != nil {
-			return runner.Stack{}, err
-		}
-		sh.Eng = meng
-		shards[i] = sh
-		engs[i] = meng
-	}
-	policy, err := cluster.NewPolicySeeded(dispatch, opts.Seed)
-	if err != nil {
-		return runner.Stack{}, err
-	}
-	disp, err := cluster.NewDispatcher(policy, shards)
-	if err != nil {
-		return runner.Stack{}, err
-	}
-	disp.SetMPL(mplTotal)
-	gen, err := workload.NewGenerator(setup.Workload, opts.Seed)
-	if err != nil {
-		return runner.Stack{}, err
-	}
-	st := runner.Stack{Eng: coord, Cluster: disp, Gen: gen, Seed: opts.Seed}
-	pe := sim.NewParallelEngine(coord, engs, disp)
-	if err := disp.EnableParallel(pe); err != nil {
-		pe.Close()
-		return runner.Stack{}, err
-	}
-	st.Par = pe
-	st.NewShard = func(i int) (cluster.Shard, error) {
-		meng := sim.NewEngine()
-		meng.AdvanceTo(coord.Now())
-		sh, err := buildShard(meng, setup, dbo, 1, i, opts)
-		if err != nil {
-			return cluster.Shard{}, err
-		}
-		sh.Eng = meng
-		return sh, nil
-	}
-	return st, nil
-}
 
 // PDSFigure measures the conservative parallel engine against the
 // sequential single-queue engine on the same sharded runs: identical
@@ -118,7 +61,7 @@ func PDSFigure(setupID int, opts RunOpts) (*Figure, error) {
 			},
 		}
 
-		sst, err := buildShardedStack(setup, speeds, "jsq", perShardMPL*n, workload.DBOptions{}, opts)
+		sst, err := buildShardedStack(setup, speeds, "jsq", perShardMPL*n, workload.DBOptions{}, opts, false)
 		if err != nil {
 			return nil, err
 		}
@@ -129,7 +72,7 @@ func PDSFigure(setupID int, opts RunOpts) (*Figure, error) {
 		}
 		seqWall := time.Since(t0).Seconds()
 
-		pst, err := buildParallelShardedStack(setup, speeds, "jsq", perShardMPL*n, workload.DBOptions{}, opts)
+		pst, err := buildShardedStack(setup, speeds, "jsq", perShardMPL*n, workload.DBOptions{}, opts, true)
 		if err != nil {
 			return nil, err
 		}

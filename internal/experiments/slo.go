@@ -84,7 +84,7 @@ func SLOFigure(setupID int, targetP95 float64, opts RunOpts) (*Figure, error) {
 		}
 		var o sloOutcome
 		o.out = out
-		o.highP95 = out.Total.HighP95
+		o.highP95 = out.Total.Class(core.ClassHigh).P95
 		if w := out.Total.Window; w > 0 {
 			o.lowTput = float64(out.Total.Low.Count()) / w
 		}
@@ -103,7 +103,7 @@ func SLOFigure(setupID int, targetP95 float64, opts RunOpts) (*Figure, error) {
 			return runOne(sloMPL, []runner.Event{{
 				At: 0,
 				SetSLO: &runner.SLOSpec{
-					Class:  core.ClassHigh,
+					Class:  "high",
 					Target: targetP95,
 				},
 				SetAdmitDeadline: &runner.AdmitDeadline{Low: 3 * targetP95},

@@ -22,6 +22,7 @@ package fairness
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -68,6 +69,27 @@ type Config struct {
 	// is the only path by which unused slots change hands, so the
 	// other tenants' in-DBMS times hold near their uncontended levels.
 	Strict bool
+}
+
+// Validate checks the config's fields: at least two weighted classes,
+// every weight positive and finite, Hysteresis 0 (default) or >= 1,
+// MinObservations >= 0 (0 = default).
+func (c Config) Validate() error {
+	if len(c.Weights) < 2 {
+		return fmt.Errorf("fairness: need >= 2 weighted classes, got %d", len(c.Weights))
+	}
+	for cl, w := range c.Weights {
+		if !(w > 0) || math.IsInf(w, 0) {
+			return fmt.Errorf("fairness: class %d weight %v must be > 0", cl, w)
+		}
+	}
+	if !(c.Hysteresis == 0 || c.Hysteresis >= 1) || math.IsInf(c.Hysteresis, 0) {
+		return fmt.Errorf("fairness: hysteresis %v must be >= 1 (0 = default)", c.Hysteresis)
+	}
+	if c.MinObservations < 0 {
+		return fmt.Errorf("fairness: MinObservations %d must be >= 0 (0 = default)", c.MinObservations)
+	}
+	return nil
 }
 
 func (c Config) withDefaults() Config {
@@ -161,18 +183,10 @@ type Controller struct {
 // weighted partition (Allocate of the gate's current MPL). The gate
 // must have a finite MPL of at least one slot per governed class.
 func New(g Gate, cfg Config) (*Controller, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
-	if len(cfg.Weights) < 2 {
-		return nil, fmt.Errorf("fairness: need >= 2 weighted classes, got %d", len(cfg.Weights))
-	}
-	for c, w := range cfg.Weights {
-		if w <= 0 {
-			return nil, fmt.Errorf("fairness: class %d weight %v must be > 0", c, w)
-		}
-	}
-	if cfg.Hysteresis < 1 {
-		return nil, fmt.Errorf("fairness: hysteresis %v must be >= 1", cfg.Hysteresis)
-	}
 	total := g.MPL()
 	if total < len(cfg.Weights) {
 		return nil, fmt.Errorf("fairness: MPL %d below one slot per class (%d classes)", total, len(cfg.Weights))

@@ -20,8 +20,10 @@
 package runner
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 
@@ -33,628 +35,12 @@ import (
 	"extsched/internal/dbms"
 	"extsched/internal/dist"
 	"extsched/internal/fairness"
+	"extsched/internal/lockmgr"
 	"extsched/internal/sim"
 	"extsched/internal/stats"
-	"extsched/internal/trace"
 	"extsched/internal/workload"
 	"extsched/metrics"
 )
-
-// Kind names a phase's traffic source.
-type Kind string
-
-const (
-	// KindClosed is a fixed client population (think-submit-wait loop).
-	KindClosed Kind = "closed"
-	// KindOpen is a stationary Poisson arrival process.
-	KindOpen Kind = "open"
-	// KindRamp ramps the Poisson rate linearly from Lambda to Lambda2
-	// over the phase's duration.
-	KindRamp Kind = "ramp"
-	// KindBurst is a two-state Markov-modulated Poisson process with
-	// long-run mean rate Lambda (flash-crowd arrivals).
-	KindBurst Kind = "burst"
-	// KindTrace replays a recorded trace.
-	KindTrace Kind = "trace"
-	// KindDiurnal is a non-homogeneous Poisson process whose rate
-	// follows a sine around Lambda (DiurnalAmp / DiurnalPeriod), the
-	// shape of a day's multi-tenant traffic; an optional flash-crowd
-	// window (FlashFactor / FlashAt / FlashDuration) may overlay it.
-	KindDiurnal Kind = "diurnal"
-	// KindFlash is a stationary Poisson process at Lambda with one
-	// flash-crowd window during which the rate is multiplied by
-	// FlashFactor; an optional diurnal sine may overlay it.
-	KindFlash Kind = "flash"
-)
-
-// ControllerSpec configures the Section 4.3 feedback controller when a
-// phase event enables it.
-type ControllerSpec struct {
-	// MaxThroughputLoss is the acceptable fractional throughput loss
-	// versus the reference (e.g. 0.05). Required.
-	MaxThroughputLoss float64
-	// ReferenceThroughput is the no-MPL optimum in completions per
-	// second. Required.
-	ReferenceThroughput float64
-	// MaxRTIncrease / ReferenceRT enable the optional response-time
-	// criterion; zero values disable it.
-	MaxRTIncrease float64
-	ReferenceRT   float64
-	// MinObservations gates window close; 0 = the paper's 100.
-	MinObservations int
-	// HoldWindows is the convergence hold count; 0 = 2.
-	HoldWindows int
-	// StopOnConverge ends the whole run as soon as the controller
-	// converges (the AutoTune workflow); the remaining phase time and
-	// any later phases are skipped.
-	StopOnConverge bool
-}
-
-// ShardSpeed retargets one shard's relative CPU speed (a slowdown,
-// failure-in-slow-motion, or recovery).
-type ShardSpeed struct {
-	Shard int
-	Speed float64
-}
-
-// SLOSpec configures the per-class latency-SLO controller when a phase
-// event (or Stack.SLO) enables it: partition the MPL across classes
-// and steer the split so Class's Percentile-th response-time
-// percentile stays at or below Target seconds.
-type SLOSpec struct {
-	// Class is the protected class; the partition's other side is the
-	// complementary class (high protects against low and vice versa).
-	Class core.Class
-	// Percentile is the controlled percentile (0 = 95).
-	Percentile float64
-	// Target is the latency bound in seconds. Required, > 0.
-	Target float64
-	// MinObservations gates SLO observation-window close (0 = 50).
-	MinObservations int
-	// Margin is the give-back hysteresis fraction (0 = 0.5).
-	Margin float64
-}
-
-// FairnessSpec configures the N-tenant weighted max-min fairness
-// controller (internal/fairness) when a phase event or Stack.Fairness
-// enables it: partition the MPL across the weighted tenant classes and
-// steer the split so each tenant's weight-normalized attained service
-// equalizes. Unsharded stacks only (the class partition lives on the
-// lone frontend), and mutually exclusive with the SLO loop and the
-// throughput controller — all three share the metrics window.
-type FairnessSpec struct {
-	// Weights maps each governed tenant class to its relative share
-	// weight. Required: >= 2 entries, every weight > 0.
-	Weights map[core.Class]float64
-	// MinObservations gates fairness-window close (0 = 50).
-	MinObservations int
-	// Hysteresis is the imbalance ratio a busy donor must exceed before
-	// a slot moves (0 = 1.2; must be >= 1 otherwise).
-	Hysteresis float64
-	// Strict makes the partition a hard cap: a tenant at its limit
-	// never borrows idle capacity. Trades utilization for latency
-	// isolation. Default false (work-conserving borrowing).
-	Strict bool
-}
-
-// Validate checks a FairnessSpec's standalone fields.
-func (f FairnessSpec) Validate() error {
-	if len(f.Weights) < 2 {
-		return fmt.Errorf("runner: fairness needs >= 2 weighted classes, got %d", len(f.Weights))
-	}
-	for c, w := range f.Weights {
-		if w <= 0 || !finite(w) {
-			return fmt.Errorf("runner: fairness class %d weight %v must be positive", c, w)
-		}
-	}
-	if !finite(f.Hysteresis) || (f.Hysteresis != 0 && f.Hysteresis < 1) {
-		return fmt.Errorf("runner: fairness hysteresis %v must be >= 1 (0 = default)", f.Hysteresis)
-	}
-	if f.MinObservations < 0 {
-		return fmt.Errorf("runner: fairness MinObservations %d must be >= 0", f.MinObservations)
-	}
-	return nil
-}
-
-// ClassLimits is a static MPL partition: High and Low concurrent slots
-// for the two priority classes. Both zero clears the partition.
-type ClassLimits struct {
-	High, Low int
-}
-
-// AdmitDeadline sets per-class admission deadlines in seconds (the
-// deadline-shedding mechanism): a transaction that cannot start within
-// its class's deadline of arriving is shed. Zero clears that class's
-// deadline.
-type AdmitDeadline struct {
-	High, Low float64
-}
-
-// ChurnSpec is a deterministic MTBF/MTTR fault generator for one
-// phase: each shard independently alternates exponential up times
-// (mean MTBF seconds) and down times (mean MTTR seconds), drawn from a
-// seeded per-shard stream, so the same spec and seed produce the same
-// failure schedule on every run. The generated fail events are
-// guarded: a failure that would take the last Up shard down is skipped
-// (the fleet never churns itself completely dark). Sharded stacks
-// only.
-type ChurnSpec struct {
-	// MTBF is the per-shard mean time between failures in simulated
-	// seconds (> 0).
-	MTBF float64
-	// MTTR is the per-shard mean time to recovery in simulated seconds
-	// (> 0).
-	MTTR float64
-	// Seed drives the failure schedule (0 = the stack seed).
-	Seed uint64
-}
-
-// Validate checks a churn generator's parameters.
-func (c ChurnSpec) Validate() error {
-	if !finite(c.MTBF, c.MTTR) {
-		return fmt.Errorf("runner: churn MTBF/MTTR must be finite")
-	}
-	if c.MTBF <= 0 {
-		return fmt.Errorf("runner: churn MTBF %v must be positive", c.MTBF)
-	}
-	if c.MTTR <= 0 {
-		return fmt.Errorf("runner: churn MTTR %v must be positive", c.MTTR)
-	}
-	return nil
-}
-
-// Event is a mid-phase control action, applied At seconds after the
-// phase's measured start (for the first phase, after warmup ends).
-// Exactly the actions a DBA could take against a live system: move the
-// MPL, reweight the queue, hand control to the feedback loop, degrade
-// a shard, switch the dispatch policy, crash or drain or add a shard.
-type Event struct {
-	At float64
-	// SetMPL, when non-nil, changes the MPL (0 = unlimited). On a
-	// sharded stack the value is the cluster-wide limit, split across
-	// shards by cluster.SplitMPL.
-	SetMPL *int
-	// SetWFQHighWeight, when non-nil, reweights the WFQ policy's high
-	// class (low keeps weight 1). Ignored (with no error) when the
-	// frontend's policy is not WFQ.
-	//
-	// Deprecated: the two-class shorthand is superseded by SetWeights,
-	// which reweights arbitrary tenant classes.
-	SetWFQHighWeight *float64
-	// SetWeights, when non-empty, reweights the WFQ policy per class
-	// (classes absent from the map keep their current weight). Ignored
-	// (with no error) when the frontend's policy is not WFQ.
-	SetWeights map[core.Class]float64
-	// SetTenantLimits, when non-nil, installs a static MPL partition
-	// over arbitrary tenant classes (each limit >= 1; an empty map
-	// clears the partition). Unsharded stacks only. The generalization
-	// of SetClassLimits.
-	SetTenantLimits map[core.Class]int
-	// SetTenantDeadlines, when non-nil, sets per-class admission
-	// deadlines for arbitrary tenant classes (seconds; zero clears that
-	// class's deadline). Both stack shapes. The generalization of
-	// SetAdmitDeadline.
-	SetTenantDeadlines map[core.Class]float64
-	// EnableFairness attaches the weighted max-min fairness controller
-	// to the completion stream; DisableFairness detaches it, freezing
-	// the class partition where the loop left it. Unsharded stacks only.
-	EnableFairness  *FairnessSpec
-	DisableFairness bool
-	// SetShardSpeed, when non-nil, changes one shard's relative CPU
-	// speed. Running on an unsharded stack is an error.
-	SetShardSpeed *ShardSpeed
-	// SetDispatch, when non-empty, switches the cluster's dispatch
-	// policy (cluster.NewPolicy names). Running on an unsharded stack
-	// is an error.
-	SetDispatch string
-	// EnableController attaches the feedback controller to the
-	// completion stream; DisableController detaches it, freezing the
-	// MPL where the loop left it.
-	EnableController  *ControllerSpec
-	DisableController bool
-	// SetSLO attaches (or replaces) the per-class latency-SLO
-	// controller; DisableSLO detaches it, freezing the class partition
-	// where the loop left it. Unsharded stacks only.
-	SetSLO     *SLOSpec
-	DisableSLO bool
-	// SetClassLimits installs a static MPL partition (unsharded stacks
-	// only; both-zero clears it).
-	SetClassLimits *ClassLimits
-	// SetAdmitDeadline changes the per-class admission deadlines (both
-	// stack shapes; zero clears a class's deadline).
-	SetAdmitDeadline *AdmitDeadline
-	// ShardFail, when non-nil, crashes that shard: it goes Down, its
-	// MPL share moves to the survivors, and the work it held is handed
-	// to the stack's recovery policy (resubmit with backoff, or shed —
-	// see Stack.Recovery). Sharded stacks only.
-	ShardFail *int
-	// ShardRecover, when non-nil, returns a Down shard to service (or
-	// cancels a drain). Sharded stacks only.
-	ShardRecover *int
-	// ShardRemove, when non-nil, drains that shard gracefully: no new
-	// work routes to it and it goes Down once empty. Sharded stacks
-	// only.
-	ShardRemove *int
-	// ShardAdd, when true, joins a fresh shard built by Stack.NewShard.
-	// Sharded stacks only.
-	ShardAdd bool
-	// churn marks a generator-synthesized fail event, which is skipped
-	// if it would take the last Up shard down.
-	churn bool
-}
-
-// Phase is one segment of a scenario: a traffic source run for
-// Duration simulated seconds, with optional control events.
-type Phase struct {
-	// Name labels the phase in reports and snapshots (defaults to the
-	// kind).
-	Name string
-	Kind Kind
-	// Duration is the phase length in simulated seconds (>= 0; a
-	// zero-duration phase starts and stops its driver at one instant,
-	// injecting only what the driver does synchronously at start).
-	Duration float64
-	// Clients / ThinkTime configure KindClosed (0 clients = 100;
-	// ThinkTime is the mean of an exponential think time, 0 = none).
-	Clients   int
-	ThinkTime float64
-	// Lambda is the arrival rate for KindOpen/KindBurst and the
-	// starting rate for KindRamp; Lambda2 is KindRamp's ending rate.
-	Lambda, Lambda2 float64
-	// BurstFactor / BurstPeriod configure KindBurst: the on/off state
-	// rates differ by Factor², normalized so the long-run mean rate is
-	// exactly Lambda; sojourns are exponential with mean Period
-	// seconds. Defaults: factor 2, period 100 mean interarrivals.
-	BurstFactor, BurstPeriod float64
-	// DiurnalAmp / DiurnalPeriod configure KindDiurnal (required there:
-	// amplitude in (0,1], period > 0; optional overlay on KindFlash):
-	// the rate swings between Lambda·(1−Amp) and Lambda·(1+Amp) with
-	// the given period in seconds.
-	DiurnalAmp, DiurnalPeriod float64
-	// FlashFactor / FlashAt / FlashDuration configure KindFlash
-	// (required there: factor >= 1, duration > 0; optional overlay on
-	// KindDiurnal): for FlashDuration seconds starting FlashAt seconds
-	// into the phase, the instantaneous rate is multiplied by
-	// FlashFactor.
-	FlashFactor, FlashAt, FlashDuration float64
-	// Trace / TraceSpeedup configure KindTrace (Speedup 0 = 1).
-	Trace        *trace.Trace
-	TraceSpeedup float64
-	// Churn, when non-nil, runs the deterministic MTBF/MTTR fault
-	// generator for this phase's duration (sharded stacks only); the
-	// generated fail/recover events merge with Events.
-	Churn  *ChurnSpec
-	Events []Event
-}
-
-// label returns the phase's display name.
-func (p Phase) label() string {
-	if p.Name != "" {
-		return p.Name
-	}
-	return string(p.Kind)
-}
-
-// AutoscaleSpec arms the fleet autoscaler for the whole run: a
-// hysteresis controller (internal/autoscale) ticking every Interval
-// simulated seconds from the moment the measurement window opens,
-// reading the fleet's mean per-up-shard backlog ((queued+inflight)/up)
-// and growing or draining the shard set within [Min, Max]. Scale-ups
-// reuse a parked (Down or Draining) slot first and only build a fresh
-// shard through Stack.NewShard when every slot is serving; scale-downs
-// drain the highest-index Up shard. Sharded stacks only.
-type AutoscaleSpec struct {
-	// Min / Max bound the Up fleet size (1 <= Min <= Max).
-	Min, Max int
-	// Interval is the controller tick period in simulated seconds
-	// (0 = 1).
-	Interval float64
-	// HighWater / LowWater are the per-up-shard backlog watermarks:
-	// signal >= HighWater for BreachWindows consecutive ticks scales
-	// up, signal <= LowWater for CalmWindows ticks scales down, and
-	// the band between them holds. Zero values take the
-	// internal/autoscale defaults (HighWater 8, LowWater HighWater/4).
-	HighWater, LowWater float64
-	// BreachWindows / CalmWindows are the consecutive-tick thresholds
-	// (0 = defaults: 2, and 3x BreachWindows).
-	BreachWindows, CalmWindows int
-	// Cooldown is the minimum time between actions in simulated
-	// seconds (0 = 2x Interval).
-	Cooldown float64
-	// MPLPerShard, when > 0, retargets the cluster-wide MPL to
-	// MPLPerShard slots per Up shard after every fleet change, so
-	// admitted concurrency scales with capacity instead of staying
-	// pinned at the configured total.
-	MPLPerShard int
-}
-
-// config translates the spec to the controller's vocabulary.
-func (a AutoscaleSpec) config() autoscale.Config {
-	return autoscale.Config{
-		Min:           a.Min,
-		Max:           a.Max,
-		Interval:      a.Interval,
-		HighWater:     a.HighWater,
-		LowWater:      a.LowWater,
-		BreachWindows: a.BreachWindows,
-		CalmWindows:   a.CalmWindows,
-		Cooldown:      a.Cooldown,
-	}
-}
-
-// Validate checks an autoscale spec without touching a stack.
-func (a AutoscaleSpec) Validate() error {
-	if a.MPLPerShard < 0 {
-		return fmt.Errorf("runner: autoscale MPL per shard %d must be >= 0", a.MPLPerShard)
-	}
-	return a.config().Validate()
-}
-
-// Spec is a full scenario: warmup, then the phases in order.
-type Spec struct {
-	// Warmup is discarded simulated seconds driven by the FIRST
-	// phase's traffic source before the measurement window opens.
-	Warmup float64
-	// SampleInterval, when > 0, emits one metrics.Snapshot to every
-	// observer each interval (windowed: counters cover the interval).
-	SampleInterval float64
-	// Autoscale, when non-nil, arms the fleet autoscaler for the whole
-	// run (sharded stacks only).
-	Autoscale *AutoscaleSpec
-	// ParallelShards opts a sharded run into the conservative parallel
-	// engine: each shard advances on its own sim.Engine on its own
-	// goroutine, synchronized in bounded windows at the dispatcher
-	// boundary (Stack.Par must be set on sharded stacks). Snapshot and
-	// windowing rules are unchanged — every breakpoint still observes
-	// all clocks standing at the same instant. On an unsharded stack
-	// the knob is a no-op (there is only one engine to run).
-	ParallelShards bool
-	Phases         []Phase
-}
-
-// finite reports whether every value is a finite float — the
-// executor schedules events at these offsets, and the engine (rightly)
-// panics on NaN/Inf times, so Validate must reject them first. JSON
-// cannot encode non-finite numbers, but scenarios built in code can.
-func finite(vals ...float64) bool {
-	for _, v := range vals {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
-}
-
-// Validate checks the spec's shape without touching a stack.
-func (s Spec) Validate() error {
-	if len(s.Phases) == 0 {
-		return fmt.Errorf("runner: scenario has no phases")
-	}
-	if s.Warmup < 0 || !finite(s.Warmup) {
-		return fmt.Errorf("runner: warmup %v must be finite and >= 0", s.Warmup)
-	}
-	if s.SampleInterval < 0 || !finite(s.SampleInterval) {
-		return fmt.Errorf("runner: sample interval %v must be finite and >= 0", s.SampleInterval)
-	}
-	if s.Autoscale != nil {
-		if err := s.Autoscale.Validate(); err != nil {
-			return err
-		}
-	}
-	for i, ph := range s.Phases {
-		prefix := fmt.Sprintf("runner: phase %d (%s)", i, ph.label())
-		if !finite(ph.Duration, ph.ThinkTime, ph.Lambda, ph.Lambda2, ph.BurstFactor, ph.BurstPeriod, ph.TraceSpeedup,
-			ph.DiurnalAmp, ph.DiurnalPeriod, ph.FlashFactor, ph.FlashAt, ph.FlashDuration) {
-			return fmt.Errorf("%s: parameters must be finite", prefix)
-		}
-		if ph.Duration < 0 {
-			return fmt.Errorf("%s: duration %v must be >= 0", prefix, ph.Duration)
-		}
-		switch ph.Kind {
-		case KindClosed:
-			if ph.Clients < 0 {
-				return fmt.Errorf("%s: clients %d must be >= 0", prefix, ph.Clients)
-			}
-			if ph.ThinkTime < 0 {
-				return fmt.Errorf("%s: think time %v must be >= 0", prefix, ph.ThinkTime)
-			}
-		case KindOpen:
-			if ph.Lambda <= 0 {
-				return fmt.Errorf("%s: lambda %v must be positive", prefix, ph.Lambda)
-			}
-		case KindRamp:
-			if ph.Lambda < 0 || ph.Lambda2 < 0 || (ph.Lambda == 0 && ph.Lambda2 == 0) {
-				return fmt.Errorf("%s: ramp rates %v -> %v must be >= 0 with a positive peak", prefix, ph.Lambda, ph.Lambda2)
-			}
-			if ph.Duration <= 0 {
-				return fmt.Errorf("%s: a ramp needs a positive duration", prefix)
-			}
-		case KindBurst:
-			if ph.Lambda <= 0 {
-				return fmt.Errorf("%s: lambda %v must be positive", prefix, ph.Lambda)
-			}
-			if ph.BurstFactor < 0 || (ph.BurstFactor > 0 && ph.BurstFactor < 1) {
-				return fmt.Errorf("%s: burst factor %v must be >= 1 (0 = default)", prefix, ph.BurstFactor)
-			}
-			if ph.BurstPeriod < 0 {
-				return fmt.Errorf("%s: burst period %v must be >= 0 (0 = default)", prefix, ph.BurstPeriod)
-			}
-		case KindTrace:
-			if ph.Trace == nil || ph.Trace.Len() == 0 {
-				return fmt.Errorf("%s: a trace phase needs a non-empty trace", prefix)
-			}
-			if err := ph.Trace.Validate(); err != nil {
-				return fmt.Errorf("%s: %w", prefix, err)
-			}
-			if ph.TraceSpeedup < 0 {
-				return fmt.Errorf("%s: trace speedup %v must be >= 0 (0 = 1)", prefix, ph.TraceSpeedup)
-			}
-		case KindDiurnal:
-			if ph.Lambda <= 0 {
-				return fmt.Errorf("%s: lambda %v must be positive", prefix, ph.Lambda)
-			}
-			if ph.DiurnalAmp <= 0 || ph.DiurnalAmp > 1 {
-				return fmt.Errorf("%s: diurnal amplitude %v must be in (0,1]", prefix, ph.DiurnalAmp)
-			}
-			if ph.DiurnalPeriod <= 0 {
-				return fmt.Errorf("%s: diurnal period %v must be positive", prefix, ph.DiurnalPeriod)
-			}
-			if ph.FlashFactor != 0 && ph.FlashFactor < 1 {
-				return fmt.Errorf("%s: flash factor %v must be >= 1 (0 = none)", prefix, ph.FlashFactor)
-			}
-			if ph.FlashAt < 0 || ph.FlashDuration < 0 {
-				return fmt.Errorf("%s: flash window [%v, +%v) must be >= 0", prefix, ph.FlashAt, ph.FlashDuration)
-			}
-		case KindFlash:
-			if ph.Lambda <= 0 {
-				return fmt.Errorf("%s: lambda %v must be positive", prefix, ph.Lambda)
-			}
-			if ph.FlashFactor < 1 {
-				return fmt.Errorf("%s: flash factor %v must be >= 1", prefix, ph.FlashFactor)
-			}
-			if ph.FlashAt < 0 || ph.FlashDuration <= 0 {
-				return fmt.Errorf("%s: flash window [%v, +%v) needs a positive duration and offset >= 0", prefix, ph.FlashAt, ph.FlashDuration)
-			}
-			if ph.DiurnalAmp != 0 {
-				if ph.DiurnalAmp < 0 || ph.DiurnalAmp > 1 {
-					return fmt.Errorf("%s: diurnal amplitude %v must be in (0,1] (0 = none)", prefix, ph.DiurnalAmp)
-				}
-				if ph.DiurnalPeriod <= 0 {
-					return fmt.Errorf("%s: diurnal period %v must be positive", prefix, ph.DiurnalPeriod)
-				}
-			}
-		default:
-			return fmt.Errorf("%s: unknown kind %q (want %s, %s, %s, %s, %s, %s or %s)",
-				prefix, ph.Kind, KindClosed, KindOpen, KindRamp, KindBurst, KindTrace, KindDiurnal, KindFlash)
-		}
-		if ph.Churn != nil {
-			if err := ph.Churn.Validate(); err != nil {
-				return fmt.Errorf("%s: %w", prefix, err)
-			}
-		}
-		for j, ev := range ph.Events {
-			if ev.At < 0 || !finite(ev.At) {
-				return fmt.Errorf("%s event %d: offset %v must be finite and >= 0", prefix, j, ev.At)
-			}
-			if ev.SetMPL != nil && *ev.SetMPL < 0 {
-				return fmt.Errorf("%s event %d: MPL %d must be >= 0", prefix, j, *ev.SetMPL)
-			}
-			if ev.SetWFQHighWeight != nil && (*ev.SetWFQHighWeight <= 0 || !finite(*ev.SetWFQHighWeight)) {
-				return fmt.Errorf("%s event %d: WFQ weight %v must be positive", prefix, j, *ev.SetWFQHighWeight)
-			}
-			for c, w := range ev.SetWeights {
-				if w <= 0 || !finite(w) {
-					return fmt.Errorf("%s event %d: class %d WFQ weight %v must be positive", prefix, j, c, w)
-				}
-			}
-			for c, l := range ev.SetTenantLimits {
-				if l < 1 {
-					return fmt.Errorf("%s event %d: class %d tenant limit %d must be >= 1", prefix, j, c, l)
-				}
-			}
-			for c, d := range ev.SetTenantDeadlines {
-				if d < 0 || !finite(d) {
-					return fmt.Errorf("%s event %d: class %d admit deadline %v must be finite and >= 0", prefix, j, c, d)
-				}
-			}
-			if ev.EnableFairness != nil {
-				if err := ev.EnableFairness.Validate(); err != nil {
-					return fmt.Errorf("%s event %d: %w", prefix, j, err)
-				}
-			}
-			if ss := ev.SetShardSpeed; ss != nil {
-				if ss.Shard < 0 {
-					return fmt.Errorf("%s event %d: shard %d must be >= 0", prefix, j, ss.Shard)
-				}
-				if ss.Speed <= 0 || !finite(ss.Speed) {
-					return fmt.Errorf("%s event %d: shard speed %v must be positive", prefix, j, ss.Speed)
-				}
-			}
-			if ev.SetDispatch != "" {
-				if _, err := cluster.NewPolicy(ev.SetDispatch); err != nil {
-					return fmt.Errorf("%s event %d: %w", prefix, j, err)
-				}
-			}
-			if ev.EnableController != nil {
-				cs := ev.EnableController
-				if cs.MaxThroughputLoss < 0 || cs.MaxThroughputLoss >= 1 {
-					return fmt.Errorf("%s event %d: MaxThroughputLoss %v outside [0,1)", prefix, j, cs.MaxThroughputLoss)
-				}
-				if cs.ReferenceThroughput <= 0 {
-					return fmt.Errorf("%s event %d: ReferenceThroughput required", prefix, j)
-				}
-			}
-			if ev.SetSLO != nil {
-				if err := ev.SetSLO.Validate(); err != nil {
-					return fmt.Errorf("%s event %d: %w", prefix, j, err)
-				}
-			}
-			if cl := ev.SetClassLimits; cl != nil {
-				if err := cl.Validate(); err != nil {
-					return fmt.Errorf("%s event %d: %w", prefix, j, err)
-				}
-			}
-			if ad := ev.SetAdmitDeadline; ad != nil {
-				if err := ad.Validate(); err != nil {
-					return fmt.Errorf("%s event %d: %w", prefix, j, err)
-				}
-			}
-			for _, sh := range []struct {
-				name string
-				idx  *int
-			}{
-				{"shard_fail", ev.ShardFail},
-				{"shard_recover", ev.ShardRecover},
-				{"shard_remove", ev.ShardRemove},
-			} {
-				if sh.idx != nil && *sh.idx < 0 {
-					return fmt.Errorf("%s event %d: %s shard %d must be >= 0", prefix, j, sh.name, *sh.idx)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// Validate checks an SLOSpec's standalone fields.
-func (s SLOSpec) Validate() error {
-	if !finite(s.Target, s.Percentile, s.Margin) {
-		return fmt.Errorf("runner: SLO parameters must be finite")
-	}
-	if s.Target <= 0 {
-		return fmt.Errorf("runner: SLO target %v must be positive seconds", s.Target)
-	}
-	if s.Percentile < 0 || s.Percentile >= 100 {
-		return fmt.Errorf("runner: SLO percentile %v outside [0,100) (0 = 95)", s.Percentile)
-	}
-	if s.Margin < 0 || s.Margin >= 1 {
-		return fmt.Errorf("runner: SLO margin %v outside [0,1) (0 = 0.5)", s.Margin)
-	}
-	if s.MinObservations < 0 {
-		return fmt.Errorf("runner: SLO MinObservations %d must be >= 0", s.MinObservations)
-	}
-	return nil
-}
-
-// Validate checks a ClassLimits partition: both limits >= 1, or both
-// zero (clear).
-func (cl ClassLimits) Validate() error {
-	if cl.High == 0 && cl.Low == 0 {
-		return nil
-	}
-	if cl.High < 1 || cl.Low < 1 {
-		return fmt.Errorf("runner: class limits high=%d low=%d must both be >= 1 (or both 0 to clear)", cl.High, cl.Low)
-	}
-	return nil
-}
-
-// Validate checks admission deadlines: finite, >= 0.
-func (ad AdmitDeadline) Validate() error {
-	if !finite(ad.High, ad.Low) || ad.High < 0 || ad.Low < 0 {
-		return fmt.Errorf("runner: admit deadlines high=%v low=%v must be finite and >= 0", ad.High, ad.Low)
-	}
-	return nil
-}
 
 // Stack is the assembled simulation the spec runs on. Exactly one of
 // two shapes: single-backend (DB + FE set, Cluster nil) or sharded
@@ -686,16 +72,20 @@ type Stack struct {
 	// SLO, when non-nil, attaches the latency-SLO controller for the
 	// whole run, from the moment the measurement window opens (an
 	// event-free way to run a scenario under SLO control; scenario
-	// SetSLO events can still replace it). Unsharded stacks only.
+	// SetSLO events can still replace it). The capability table's SLO
+	// row applies.
 	SLO *SLOSpec
 	// Fairness, when non-nil, attaches the N-tenant max-min fairness
-	// controller for the whole run, from the moment the measurement
-	// window opens. Unsharded stacks only; mutually exclusive with SLO.
-	Fairness *FairnessSpec
+	// controller, with class-keyed weights, for the whole run from the
+	// moment the measurement window opens; Spec.Fairness, the
+	// name-keyed form, replaces it. The capability table's fairness row
+	// applies; mutually exclusive with SLO.
+	Fairness *fairness.Config
 	// ClassNames labels tenant classes in per-class reports and
 	// snapshots. Classes absent from the map fall back to the
 	// frontend's tenant registry (core.Frontend.RegisterClass) on
-	// unsharded stacks, then to the empty string.
+	// unsharded stacks, then to the empty string. A spec's tenants
+	// block replaces it.
 	ClassNames map[core.Class]string
 	// Par, when non-nil, is the conservative parallel ensemble over Eng
 	// (the coordinator) and the shards' member engines. The runner
@@ -738,8 +128,8 @@ type Report struct {
 	// Restarts counts abort/restart cycles; Dropped admission-control
 	// rejections.
 	Restarts, Dropped uint64
-	// Shed counts deadline-missed rejections in the window;
-	// ShedHigh/ShedLow split it by class.
+	// Shed counts deadline-missed rejections in the window; ShedHigh is
+	// the high class's share and ShedLow everything else.
 	Shed, ShedHigh, ShedLow uint64
 	// Failed counts transactions terminally lost to shard failures in
 	// the window; Resubmitted counts logical txns re-routed to a
@@ -750,31 +140,31 @@ type Report struct {
 	// LockWaits / Deadlocks / Preemptions are lock-manager deltas.
 	LockWaits, Deadlocks, Preemptions uint64
 	// P50/P95/P99 are run-so-far response-time percentiles (zero
-	// unless Stack.PercentileSamples was set); HighP95/LowP95 split the
-	// tail by priority class — the SLO signal.
-	P50, P95, P99   float64
-	HighP95, LowP95 float64
+	// unless Stack.PercentileSamples was set).
+	P50, P95, P99 float64
 	// Classes is the per-tenant breakdown of the window, in ascending
 	// class-ID order: one entry for every class that completed or shed
-	// work. The N-tenant generalization of the High/Low fields above
-	// (which remain for the two-class figures).
+	// work. Per-class tails (the SLO signal) live here.
 	Classes []ClassReport
 }
 
-// ClassReport is one tenant class's slice of a Report window.
-type ClassReport struct {
-	Class core.Class
-	// Name is the registered tenant name (Stack.ClassNames or the
-	// frontend's tenant registry; empty when neither knows the class).
-	Name string
-	// Completed counts the class's completions in the window; Shed its
-	// deadline-shed rejections.
-	Completed, Shed uint64
-	// Mean is the class's mean response time; P95 its run-so-far 95th
-	// percentile (0 unless Stack.PercentileSamples is set — and only in
-	// whole-run reports, phase slices have no per-class reservoir).
-	Mean, P95 float64
+// Class returns class c's entry in Classes (the zero entry when the
+// class neither completed nor shed work in the window).
+func (r Report) Class(c core.Class) ClassReport {
+	for _, cr := range r.Classes {
+		if cr.Class == int(c) {
+			return cr
+		}
+	}
+	return ClassReport{Class: int(c)}
 }
+
+// ClassReport is one tenant class's slice of a Report window: the
+// per-class vocabulary interval snapshots use. Name comes from
+// Stack.ClassNames or the frontend's tenant registry; P95 is run-so-far
+// (0 unless Stack.PercentileSamples is set — and only in whole-run
+// reports, phase slices have no per-class reservoir).
+type ClassReport = metrics.ClassStat
 
 // Throughput returns completions per second over the window.
 func (r Report) Throughput() float64 {
@@ -839,13 +229,13 @@ type TuneReport struct {
 // SLOReport summarizes an SLO-controlled run: the final class
 // partition and the loop's activity.
 type SLOReport struct {
-	// Class is the protected class; SLOLimit/OtherLimit the final slot
-	// partition (they sum to the final MPL).
-	Class                core.Class
+	// Class is the protected class ("high" or "low"); SLOLimit /
+	// OtherLimit the final slot partition (they sum to the final MPL).
+	Class                string
 	SLOLimit, OtherLimit int
 	// Iterations counts completed SLO reactions; LastMeasured is the
-	// last closed window's measured percentile (0 before any window
-	// closed).
+	// last closed window's measured percentile in seconds (0 before any
+	// window closed).
 	Iterations   int
 	LastMeasured float64
 }
@@ -853,9 +243,9 @@ type SLOReport struct {
 // FairnessReport summarizes a fairness-controlled run: the final
 // tenant partition and the loop's activity.
 type FairnessReport struct {
-	// Limits is the final per-tenant slot partition (sums to the final
-	// MPL).
-	Limits map[core.Class]int
+	// Limits is the final per-tenant slot partition, keyed by class ID
+	// (it sums to the final MPL).
+	Limits map[int]int
 	// Iterations counts completed fairness reactions; Moves how many of
 	// them actually moved a slot.
 	Iterations, Moves int
@@ -903,8 +293,7 @@ type Outcome struct {
 // against.
 type mark struct {
 	t                       float64
-	dropped, canceled       uint64
-	shed, shedHigh, shedLow uint64
+	dropped, canceled, shed uint64
 	// shedClass splits shed by tenant class (nil while nothing shed).
 	shedClass              map[core.Class]uint64
 	waits, dl, preempt     uint64
@@ -916,7 +305,6 @@ type mark struct {
 
 type shardMark struct {
 	routed, dropped, canceled uint64
-	shed, shedHigh, shedLow   uint64
 	waits, dl, preempt        uint64
 	cpuBusy, diskBusy         float64
 	upSec                     float64
@@ -936,12 +324,7 @@ func takeMark(st Stack) mark {
 			sm.routed = routed[i]
 			sm.upSec = c.UpSeconds(i)
 			sm.dropped, sm.canceled = sh.FE.Dropped(), sh.FE.Canceled()
-			sm.shed = sh.FE.Shed()
-			sm.shedHigh = sh.FE.ShedByClass(core.ClassHigh)
-			sm.shedLow = sm.shed - sm.shedHigh
-			m.shed += sm.shed
-			m.shedHigh += sm.shedHigh
-			m.shedLow += sm.shedLow
+			m.shed += sh.FE.Shed()
 			for c, n := range sh.FE.ShedClasses() {
 				if m.shedClass == nil {
 					m.shedClass = make(map[core.Class]uint64)
@@ -966,8 +349,6 @@ func takeMark(st Stack) mark {
 	}
 	m.dropped, m.canceled = st.FE.Dropped(), st.FE.Canceled()
 	m.shed = st.FE.Shed()
-	m.shedHigh = st.FE.ShedByClass(core.ClassHigh)
-	m.shedLow = m.shed - m.shedHigh
 	m.shedClass = st.FE.ShedClasses()
 	if st.DB != nil {
 		s := st.DB.Stats()
@@ -1046,7 +427,8 @@ func className(st Stack, c core.Class) string {
 // classReports assembles the per-tenant breakdown of one window: every
 // class that completed or shed work between the marks, ascending.
 // resClass, when non-nil, supplies run-so-far per-class percentiles.
-func classReports(st Stack, a *acc, from, to mark, resClass map[core.Class]*stats.Reservoir) []ClassReport {
+// Above limit classes (when limit > 0) the breakdown is elided.
+func classReports(st Stack, a *acc, from, to mark, resClass map[core.Class]*stats.Reservoir, limit int) []ClassReport {
 	ids := make(map[core.Class]struct{}, len(a.classes))
 	for c, ca := range a.classes {
 		if ca.Count() > 0 {
@@ -1058,7 +440,7 @@ func classReports(st Stack, a *acc, from, to mark, resClass map[core.Class]*stat
 			ids[c] = struct{}{}
 		}
 	}
-	if len(ids) == 0 {
+	if len(ids) == 0 || (limit > 0 && len(ids) > limit) {
 		return nil
 	}
 	classes := make([]core.Class, 0, len(ids))
@@ -1069,7 +451,7 @@ func classReports(st Stack, a *acc, from, to mark, resClass map[core.Class]*stat
 	out := make([]ClassReport, len(classes))
 	for i, c := range classes {
 		cr := ClassReport{
-			Class: c,
+			Class: int(c),
 			Name:  className(st, c),
 			Shed:  to.shedClass[c] - from.shedClass[c],
 		}
@@ -1086,7 +468,7 @@ func classReports(st Stack, a *acc, from, to mark, resClass map[core.Class]*stat
 }
 
 // report assembles a Report from an accumulator scope and its marks.
-func (a *acc) report(st Stack, from mark, res, resHigh, resLow *stats.Reservoir, resClass map[core.Class]*stats.Reservoir) Report {
+func (a *acc) report(st Stack, from mark, res *stats.Reservoir, resClass map[core.Class]*stats.Reservoir) Report {
 	to := takeMark(st)
 	r := Report{
 		Window:      to.t - from.t,
@@ -1099,8 +481,7 @@ func (a *acc) report(st Stack, from mark, res, resHigh, resLow *stats.Reservoir,
 		Restarts:    a.restarts,
 		Dropped:     to.dropped - from.dropped,
 		Shed:        to.shed - from.shed,
-		ShedHigh:    to.shedHigh - from.shedHigh,
-		ShedLow:     to.shedLow - from.shedLow,
+		ShedHigh:    to.shedClass[core.ClassHigh] - from.shedClass[core.ClassHigh],
 		LockWaits:   to.waits - from.waits,
 		Deadlocks:   to.dl - from.dl,
 		Preemptions: to.preempt - from.preempt,
@@ -1110,18 +491,13 @@ func (a *acc) report(st Stack, from mark, res, resHigh, resLow *stats.Reservoir,
 		CPUUtil:     utilDelta(from.cpuBusy, to.cpuBusy, from.t, to.t),
 		DiskUtil:    utilDelta(from.diskBusy, to.diskBusy, from.t, to.t),
 	}
+	r.ShedLow = r.Shed - r.ShedHigh
 	if res != nil {
 		r.P50 = res.Percentile(50)
 		r.P95 = res.Percentile(95)
 		r.P99 = res.Percentile(99)
 	}
-	if resHigh != nil {
-		r.HighP95 = resHigh.Percentile(95)
-	}
-	if resLow != nil {
-		r.LowP95 = resLow.Percentile(95)
-	}
-	r.Classes = classReports(st, a, from, to, resClass)
+	r.Classes = classReports(st, a, from, to, resClass, 0)
 	return r
 }
 
@@ -1187,15 +563,13 @@ type run struct {
 	phase     acc
 	window    acc
 	res       *stats.Reservoir
-	// resHigh / resLow sample response times per class (run-so-far,
-	// like res) for the HighP95/LowP95 report and snapshot fields.
-	resHigh, resLow *stats.Reservoir
 	// resClass samples response times per tenant class (run-so-far) for
 	// the per-class P95 report and snapshot fields. Lazily built, one
-	// reservoir per distinct class seen, on its own seeded stream — the
-	// legacy res/resHigh/resLow draws are untouched, so historical
-	// two-class figures stay bit-identical.
+	// reservoir per distinct class seen, on its own seeded stream, so
+	// res's draws do not depend on the class mix.
 	resClass map[core.Class]*stats.Reservoir
+	// classes resolves the spec's tenant names to class IDs.
+	classes classIndex
 	// shardTotal / winShard split the window per shard (sharded stacks
 	// only): whole-window accumulators for Outcome.Shards, and
 	// per-interval completion counts for Snapshot.Shards.
@@ -1215,7 +589,7 @@ type run struct {
 	stopOnConverge bool
 
 	slo      *controller.SLOController
-	sloSpec  SLOSpec
+	sloClass string
 	sloFinal *SLOReport
 
 	fair      *fairness.Controller
@@ -1259,11 +633,6 @@ func (r *run) onComplete(shard int, t *dbfe.Txn) {
 		}
 		if r.res != nil {
 			r.res.Add(t.Item.ResponseTime())
-			if t.Item.Class == core.ClassHigh {
-				r.resHigh.Add(t.Item.ResponseTime())
-			} else {
-				r.resLow.Add(t.Item.ResponseTime())
-			}
 			r.classRes(t.Item.Class).Add(t.Item.ResponseTime())
 		}
 	}
@@ -1305,45 +674,73 @@ func (r *run) classRes(c core.Class) *stats.Reservoir {
 	return rv
 }
 
-// Run executes spec on st. Observers receive one windowed Snapshot per
-// SampleInterval, synchronously on the simulation goroutine (they may
-// inspect or adjust the stack from the callback). ctx is checked at
-// every internal breakpoint — phase boundaries, events, snapshot ticks
-// — and a canceled run returns ctx.Err() with the partial Outcome
-// discarded.
+// Run executes spec on st. Before anything runs it validates the spec
+// and consults the capability table against the stack's shape, so an
+// unsupported combination fails before the first event. Observers
+// receive one windowed Snapshot per SampleInterval, synchronously on
+// the simulation goroutine (they may inspect or adjust the stack from
+// the callback). ctx is checked at every internal breakpoint — phase
+// boundaries, events, snapshot ticks — and a canceled run returns
+// ctx.Err() with the partial Outcome discarded.
 func Run(ctx context.Context, st Stack, spec Spec, obs ...metrics.Observer) (Outcome, error) {
+	if st.Par != nil {
+		defer st.Par.Close()
+		// A stack with a parallel ensemble runs parallel whatever the
+		// flag says, so the capability table must see it that way.
+		spec.ParallelShards = true
+	}
 	if err := spec.Validate(); err != nil {
 		return Outcome{}, err
 	}
-	r := &run{st: st, spec: spec, obs: obs}
-	if st.Par != nil {
-		if st.Cluster == nil {
-			return Outcome{}, fmt.Errorf("runner: a parallel ensemble needs a sharded stack")
-		}
-		// The feedback controller actuates SetMPL from inside the
-		// per-completion observation path; replayed at window bounds its
-		// actuations would land at different instants than a sequential
-		// run's, so the combination is refused rather than silently
-		// diverging.
-		for i, ph := range spec.Phases {
-			for _, ev := range ph.Events {
-				if ev.EnableController != nil {
-					return Outcome{}, fmt.Errorf("runner: phase %d (%s): the feedback controller is not supported with ParallelShards", i, ph.label())
-				}
-			}
-		}
-		defer st.Par.Close()
-	} else if spec.ParallelShards && st.Cluster != nil {
+	shards := 0
+	if st.Cluster != nil {
+		shards = st.Cluster.NumShards()
+	} else if st.Par != nil {
+		return Outcome{}, fmt.Errorf("runner: a parallel ensemble needs a sharded stack")
+	}
+	if spec.ParallelShards && st.Cluster != nil && st.Par == nil {
 		return Outcome{}, fmt.Errorf("runner: ParallelShards needs a stack assembled with a parallel ensemble (Stack.Par)")
 	}
+	if err := spec.CheckStack(shards); err != nil {
+		return Outcome{}, err
+	}
+	if st.SLO != nil {
+		if err := FeatureSLO.Check("Stack.SLO", shards, spec.ParallelShards); err != nil {
+			return Outcome{}, err
+		}
+		if err := st.SLO.Validate(); err != nil {
+			return Outcome{}, err
+		}
+	}
+	spec, err := spec.withTraces()
+	if err != nil {
+		return Outcome{}, err
+	}
+	classes, _ := spec.classIndex() // vetted by Validate above
+	if len(spec.Tenants) > 0 {
+		if err := applyTenants(&st, spec.Tenants); err != nil {
+			return Outcome{}, err
+		}
+	}
+	if fs := spec.Fairness; fs != nil {
+		cfg, err := spec.fairnessConfig(classes, *fs)
+		if err != nil {
+			return Outcome{}, err
+		}
+		st.Fairness = &cfg
+	}
+	if st.Fairness != nil {
+		if err := FeatureFairness.Check("Stack.Fairness", shards, spec.ParallelShards); err != nil {
+			return Outcome{}, err
+		}
+	}
+	r := &run{st: st, spec: spec, obs: obs, classes: classes}
 	if st.PercentileSamples > 0 {
 		seed := st.Seed
 		if seed == 0 {
 			seed = 1
 		}
 		r.res = stats.NewReservoir(st.PercentileSamples, sim.NewRNG(seed, 31))
-		r.resHigh = stats.NewReservoir(st.PercentileSamples, sim.NewRNG(seed, 37))
-		r.resLow = stats.NewReservoir(st.PercentileSamples, sim.NewRNG(seed, 41))
 	}
 	if c := st.Cluster; c != nil {
 		// Arm the fault model unconditionally: lifecycle events and the
@@ -1425,7 +822,7 @@ func Run(ctx context.Context, st Stack, spec Spec, obs ...metrics.Observer) (Out
 		out.Phases = append(out.Phases, PhaseReport{
 			Name:   ph.label(),
 			Kind:   ph.Kind,
-			Report: r.phase.report(st, r.phaseMark, nil, nil, nil, nil),
+			Report: r.phase.report(st, r.phaseMark, nil, nil),
 		})
 		r.phase.reset()
 		r.phaseMark = takeMark(st)
@@ -1434,7 +831,7 @@ func Run(ctx context.Context, st Stack, spec Spec, obs ...metrics.Observer) (Out
 		}
 	}
 	r.measuring = false
-	out.Total = r.total.report(st, r.totalMark, r.res, r.resHigh, r.resLow, r.resClass)
+	out.Total = r.total.report(st, r.totalMark, r.res, r.resClass)
 	out.Shards = r.shardReports()
 	out.FinalMPL = st.Gate().MPL()
 	if r.tune != nil {
@@ -1462,13 +859,47 @@ func Run(ctx context.Context, st Stack, spec Spec, obs ...metrics.Observer) (Out
 	return out, nil
 }
 
+// applyTenants installs a tenants block on the fresh stack: every
+// frontend's registry gets the names, weights and SLO targets (so live
+// stats and reports carry tenant names), the WFQ policy — when the
+// queue policy is WFQ — is reweighted to the tenants' declared weights,
+// and the generator's arrival stream is split by the tenants' shares,
+// replacing the stack's high-priority tagging.
+func applyTenants(st *Stack, tenants []TenantSpec) error {
+	names := make(map[core.Class]string, len(tenants))
+	weights := make(map[core.Class]float64, len(tenants))
+	mix := make([]workload.TenantMix, len(tenants))
+	for i, t := range tenants {
+		w := t.weight()
+		if st.Cluster != nil {
+			for _, sh := range st.Cluster.Shards() {
+				sh.FE.RegisterClass(t.Name, w, t.SLOTarget)
+			}
+		} else {
+			st.FE.RegisterClass(t.Name, w, t.SLOTarget)
+		}
+		names[core.Class(i)] = t.Name
+		weights[core.Class(i)] = w
+		mix[i] = workload.TenantMix{
+			Class:    lockmgr.Class(i),
+			Share:    t.Share,
+			SizeMean: t.SizeMean,
+			SizeC2:   t.SizeC2,
+		}
+	}
+	if st.Cluster != nil {
+		st.Cluster.SetWFQWeights(weights)
+	} else {
+		st.FE.SetWFQWeights(weights)
+	}
+	st.ClassNames = names
+	return st.Gen.SetMix(mix)
+}
+
 // armAutoscale builds the fleet controller and starts its tick timer
 // at the engine's current time (the measurement-window open).
 func (r *run) armAutoscale(spec AutoscaleSpec) error {
 	c := r.st.Cluster
-	if c == nil {
-		return fmt.Errorf("runner: autoscale on an unsharded system")
-	}
 	if spec.Max > c.NumShards() && r.st.NewShard == nil {
 		return fmt.Errorf("runner: autoscale max %d exceeds the %d built shards and the stack has no NewShard factory", spec.Max, c.NumShards())
 	}
@@ -1601,7 +1032,7 @@ func (r *run) autoscaleReport() *AutoscaleReport {
 func (r *run) sloReport() *SLOReport {
 	slo, other := r.slo.Limits()
 	rep := &SLOReport{
-		Class:      r.sloSpec.Class,
+		Class:      r.sloClass,
 		SLOLimit:   slo,
 		OtherLimit: other,
 		Iterations: r.slo.Iterations(),
@@ -1612,13 +1043,14 @@ func (r *run) sloReport() *SLOReport {
 	return rep
 }
 
-// attachSLO builds and wires the latency-SLO controller. The stack
-// must be unsharded (the partition and the per-class percentile signal
-// live on the lone frontend), and the frontend gets percentile
-// sampling enabled on the spot if the configuration did not already.
+// attachSLO builds and wires the latency-SLO controller on the lone
+// frontend (the capability table keeps it off sharded stacks), which
+// gets percentile sampling enabled on the spot if the configuration
+// did not already.
 func (r *run) attachSLO(spec SLOSpec) error {
-	if r.st.Cluster != nil {
-		return fmt.Errorf("runner: SLO control on a sharded system is not supported")
+	class, err := spec.protected()
+	if err != nil {
+		return err
 	}
 	if r.ctl != nil {
 		return fmt.Errorf("runner: the SLO loop and the throughput controller share the metrics window; disable the controller first")
@@ -1636,7 +1068,7 @@ func (r *run) attachSLO(spec SLOSpec) error {
 	}
 	slo, err := controller.NewSLO(r.st.Eng.Clock(), fe, controller.SLOConfig{
 		Target: controller.SLOTarget{
-			Class:      spec.Class,
+			Class:      class,
 			Percentile: spec.Percentile,
 			Target:     spec.Target,
 		},
@@ -1647,7 +1079,7 @@ func (r *run) attachSLO(spec SLOSpec) error {
 		return err
 	}
 	r.slo = slo
-	r.sloSpec = spec
+	r.sloClass = cmp.Or(spec.Class, "high")
 	return nil
 }
 
@@ -1657,26 +1089,18 @@ func (r *run) attachSLO(spec SLOSpec) error {
 const sloSampleCapacity = 2048
 
 // attachFairness builds and wires the N-tenant max-min fairness
-// controller. The stack must be unsharded (the class partition lives on
-// the lone frontend), and the loop is mutually exclusive with the SLO
-// loop and the throughput controller: all three reset the frontend's
-// metrics window per reaction.
-func (r *run) attachFairness(spec FairnessSpec) error {
-	if r.st.Cluster != nil {
-		return fmt.Errorf("runner: fairness control on a sharded system is not supported")
-	}
+// controller on the lone frontend (the capability table keeps it off
+// sharded stacks). The loop is mutually exclusive with the SLO loop and
+// the throughput controller: all three reset the frontend's metrics
+// window per reaction.
+func (r *run) attachFairness(cfg fairness.Config) error {
 	if r.slo != nil {
 		return fmt.Errorf("runner: the fairness controller and the SLO loop share the metrics window; disable the SLO loop first")
 	}
 	if r.ctl != nil {
 		return fmt.Errorf("runner: the fairness controller and the throughput controller share the metrics window; disable the controller first")
 	}
-	fair, err := fairness.New(r.st.FE.Frontend, fairness.Config{
-		Weights:         spec.Weights,
-		MinObservations: spec.MinObservations,
-		Hysteresis:      spec.Hysteresis,
-		Strict:          spec.Strict,
-	})
+	fair, err := fairness.New(r.st.FE.Frontend, cfg)
 	if err != nil {
 		return err
 	}
@@ -1686,11 +1110,16 @@ func (r *run) attachFairness(spec FairnessSpec) error {
 
 // fairReport snapshots the attached fairness loop's state.
 func (r *run) fairReport() *FairnessReport {
-	return &FairnessReport{
-		Limits:     r.fair.Limits(),
+	limits := r.fair.Limits()
+	rep := &FairnessReport{
+		Limits:     make(map[int]int, len(limits)),
 		Iterations: r.fair.Iterations(),
 		Moves:      r.fair.Moves(),
 	}
+	for c, l := range limits {
+		rep.Limits[int(c)] = l
+	}
+	return rep
 }
 
 // beginMeasurement opens the measurement window at the engine's
@@ -1774,9 +1203,6 @@ func (r *run) runPhase(ctx context.Context, ph Phase) (stopEarly bool, err error
 	// Events fire in offset order, clamped into the phase.
 	evs := append([]Event(nil), ph.Events...)
 	if ph.Churn != nil {
-		if r.st.Cluster == nil {
-			return false, fmt.Errorf("runner: churn phase on an unsharded system")
-		}
 		evs = append(evs, churnEvents(*ph.Churn, r.st.Cluster.NumShards(), ph.Duration, r.st.Seed)...)
 	}
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
@@ -1819,101 +1245,72 @@ func (r *run) runPhase(ctx context.Context, ph Phase) (stopEarly bool, err error
 	}
 }
 
-// setWFQWeights reaches the queue policy on either stack shape.
-func (r *run) setWFQWeights(w map[core.Class]float64) {
-	if c := r.st.Cluster; c != nil {
-		c.SetWFQWeights(w)
-		return
-	}
-	r.st.FE.SetWFQWeights(w)
-}
-
 // applyEvent performs one control action at the engine's current time.
+// Run has already consulted the capability table, so every action here
+// suits the stack's shape, and Validate has vetted every tenant name.
 func (r *run) applyEvent(ev Event) error {
-	gate := r.st.Gate()
+	st, c := r.st, r.st.Cluster
+	gate := st.Gate()
 	if ev.SetMPL != nil {
 		gate.SetMPL(*ev.SetMPL)
 	}
-	if ev.SetWFQHighWeight != nil {
-		r.setWFQWeights(map[core.Class]float64{core.ClassHigh: *ev.SetWFQHighWeight, core.ClassLow: 1})
-	}
 	if len(ev.SetWeights) > 0 {
-		r.setWFQWeights(ev.SetWeights)
-	}
-	if ev.SetTenantLimits != nil {
-		if r.st.Cluster != nil {
-			return fmt.Errorf("runner: SetTenantLimits event on a sharded system")
+		w, err := byClass(r.classes, ev.SetWeights)
+		if err != nil {
+			return err
 		}
-		if len(ev.SetTenantLimits) == 0 {
-			r.st.FE.SetClassLimits(nil)
+		if c != nil {
+			c.SetWFQWeights(w)
 		} else {
-			limits := make(map[core.Class]int, len(ev.SetTenantLimits))
-			for c, l := range ev.SetTenantLimits {
-				limits[c] = l
-			}
-			r.st.FE.SetClassLimits(limits)
+			st.FE.SetWFQWeights(w)
 		}
 	}
-	if ev.SetTenantDeadlines != nil {
-		for c, d := range ev.SetTenantDeadlines {
-			if cl := r.st.Cluster; cl != nil {
-				cl.SetAdmitDeadline(c, d)
-			} else {
-				r.st.FE.SetAdmitDeadline(c, d)
-			}
+	limits, deadlines, err := r.classMaps(ev)
+	if err != nil {
+		return err
+	}
+	if limits != nil {
+		st.FE.SetClassLimits(limits)
+	}
+	for cl, d := range deadlines {
+		if c != nil {
+			c.SetAdmitDeadline(cl, d)
+		} else {
+			st.FE.SetAdmitDeadline(cl, d)
 		}
 	}
 	if ss := ev.SetShardSpeed; ss != nil {
-		if r.st.Cluster == nil {
-			return fmt.Errorf("runner: SetShardSpeed event on an unsharded system")
-		}
-		if err := r.st.Cluster.SetSpeed(ss.Shard, ss.Speed); err != nil {
+		if err := c.SetSpeed(ss.Shard, ss.Speed); err != nil {
 			return err
 		}
 	}
 	if ev.SetDispatch != "" {
-		if r.st.Cluster == nil {
-			return fmt.Errorf("runner: SetDispatch event on an unsharded system")
-		}
 		// Seed the policy from the stack so sampled dispatch (jsq-d,
 		// lwl-d) reruns bit-identically.
-		p, err := cluster.NewPolicySeeded(ev.SetDispatch, r.st.Seed)
+		p, err := cluster.NewPolicySeeded(ev.SetDispatch, st.Seed)
 		if err != nil {
 			return err
 		}
-		r.st.Cluster.SetPolicy(p)
+		c.SetPolicy(p)
 	}
 	if ev.ShardAdd {
-		if r.st.Cluster == nil {
-			return fmt.Errorf("runner: ShardAdd event on an unsharded system")
-		}
-		if r.st.NewShard == nil {
+		if st.NewShard == nil {
 			return fmt.Errorf("runner: ShardAdd event needs a Stack.NewShard factory")
 		}
-		sh, err := r.st.NewShard(r.st.Cluster.NumShards())
+		sh, err := st.NewShard(c.NumShards())
 		if err != nil {
 			return err
 		}
-		if _, err := r.st.Cluster.AddShard(sh); err != nil {
+		if _, err := c.AddShard(sh); err != nil {
 			return err
 		}
 	}
 	if ev.ShardFail != nil {
-		c := r.st.Cluster
-		if c == nil {
-			return fmt.Errorf("runner: ShardFail event on an unsharded system")
-		}
 		skip := false
 		if ev.churn {
 			// Generator-synthesized failures never take the last Up
 			// shard down; an explicit scenario event may.
-			up := 0
-			for _, s := range c.States() {
-				if s == cluster.ShardUp {
-					up++
-				}
-			}
-			skip = up <= 1 && c.State(*ev.ShardFail) == cluster.ShardUp
+			skip = c.UpCount() <= 1 && c.State(*ev.ShardFail) == cluster.ShardUp
 		}
 		if !skip {
 			if err := c.FailShard(*ev.ShardFail); err != nil {
@@ -1922,41 +1319,13 @@ func (r *run) applyEvent(ev Event) error {
 		}
 	}
 	if ev.ShardRecover != nil {
-		if r.st.Cluster == nil {
-			return fmt.Errorf("runner: ShardRecover event on an unsharded system")
-		}
-		if err := r.st.Cluster.RecoverShard(*ev.ShardRecover); err != nil {
+		if err := c.RecoverShard(*ev.ShardRecover); err != nil {
 			return err
 		}
 	}
 	if ev.ShardRemove != nil {
-		if r.st.Cluster == nil {
-			return fmt.Errorf("runner: ShardRemove event on an unsharded system")
-		}
-		if err := r.st.Cluster.RemoveShard(*ev.ShardRemove); err != nil {
+		if err := c.RemoveShard(*ev.ShardRemove); err != nil {
 			return err
-		}
-	}
-	if ad := ev.SetAdmitDeadline; ad != nil {
-		if c := r.st.Cluster; c != nil {
-			c.SetAdmitDeadline(core.ClassHigh, ad.High)
-			c.SetAdmitDeadline(core.ClassLow, ad.Low)
-		} else {
-			r.st.FE.SetAdmitDeadline(core.ClassHigh, ad.High)
-			r.st.FE.SetAdmitDeadline(core.ClassLow, ad.Low)
-		}
-	}
-	if cl := ev.SetClassLimits; cl != nil {
-		if r.st.Cluster != nil {
-			return fmt.Errorf("runner: SetClassLimits event on a sharded system")
-		}
-		if cl.High == 0 && cl.Low == 0 {
-			r.st.FE.SetClassLimits(nil)
-		} else {
-			r.st.FE.SetClassLimits(map[core.Class]int{
-				core.ClassHigh: cl.High,
-				core.ClassLow:  cl.Low,
-			})
 		}
 	}
 	// Both disables run before either enable, so one event can hand
@@ -1975,7 +1344,7 @@ func (r *run) applyEvent(ev Event) error {
 			// The partition stays where the loop left it, but a strict
 			// cap relaxes: without a controller rebalancing it, a hard
 			// cap could idle capacity forever.
-			r.st.FE.SetStrictPartition(false)
+			st.FE.SetStrictPartition(false)
 		}
 	}
 	if ev.DisableController {
@@ -1994,8 +1363,12 @@ func (r *run) applyEvent(ev Event) error {
 			return err
 		}
 	}
-	if ev.EnableFairness != nil {
-		if err := r.attachFairness(*ev.EnableFairness); err != nil {
+	if fs := ev.EnableFairness; fs != nil {
+		cfg, err := r.spec.fairnessConfig(r.classes, *fs)
+		if err != nil {
+			return err
+		}
+		if err := r.attachFairness(cfg); err != nil {
 			return err
 		}
 	}
@@ -2006,7 +1379,7 @@ func (r *run) applyEvent(ev Event) error {
 		if r.fair != nil {
 			return fmt.Errorf("runner: the throughput controller and the fairness controller share the metrics window; disable fairness first")
 		}
-		ctl, err := controller.New(r.st.Eng.Clock(), gate, controller.Config{
+		ctl, err := controller.New(st.Eng.Clock(), gate, controller.Config{
 			Targets: controller.Targets{
 				MaxThroughputLoss: cs.MaxThroughputLoss,
 				MaxRTIncrease:     cs.MaxRTIncrease,
@@ -2028,6 +1401,36 @@ func (r *run) applyEvent(ev Event) error {
 		}
 	}
 	return nil
+}
+
+// classMaps resolves an event's partition and deadline actions to
+// class-keyed maps, so each has one execution path: set_tenant_limits
+// and set_tenant_deadlines by tenant name, and their two-class
+// spellings set_class_limits and set_admit_deadline by the high/low
+// class IDs (which win where an event carries both spellings). A nil
+// limits map leaves the partition alone; an empty one clears it.
+func (r *run) classMaps(ev Event) (limits map[core.Class]int, deadlines map[core.Class]float64, err error) {
+	if tl := ev.SetTenantLimits; tl != nil {
+		if limits, err = byClass(r.classes, *tl); err != nil {
+			return nil, nil, err
+		}
+	}
+	if cl := ev.SetClassLimits; cl != nil {
+		limits = cl.byClass()
+	}
+	if len(ev.SetTenantDeadlines) > 0 {
+		if deadlines, err = byClass(r.classes, ev.SetTenantDeadlines); err != nil {
+			return nil, nil, err
+		}
+	}
+	if ad := ev.SetAdmitDeadline; ad != nil {
+		if deadlines == nil {
+			deadlines = ad.byClass()
+		} else {
+			maps.Copy(deadlines, ad.byClass())
+		}
+	}
+	return limits, deadlines, nil
 }
 
 // shardReports assembles each shard's slice of the whole measurement
@@ -2146,48 +1549,6 @@ func (r *run) shardStats(to mark) []metrics.ShardStat {
 // once, not per tick.
 const maxSnapshotClasses = 64
 
-// classStats assembles the per-class slice of an interval snapshot:
-// every class that completed or shed work this window, ascending.
-func (r *run) classStats(to mark) []metrics.ClassStat {
-	w := &r.window
-	ids := make(map[core.Class]struct{}, len(w.classes))
-	for c, ca := range w.classes {
-		if ca.Count() > 0 {
-			ids[c] = struct{}{}
-		}
-	}
-	for c, n := range to.shedClass {
-		if n > r.winMark.shedClass[c] {
-			ids[c] = struct{}{}
-		}
-	}
-	if len(ids) == 0 || len(ids) > maxSnapshotClasses {
-		return nil
-	}
-	classes := make([]core.Class, 0, len(ids))
-	for c := range ids {
-		classes = append(classes, c)
-	}
-	sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
-	out := make([]metrics.ClassStat, len(classes))
-	for i, c := range classes {
-		cs := metrics.ClassStat{
-			Class: int(c),
-			Name:  className(r.st, c),
-			Shed:  to.shedClass[c] - r.winMark.shedClass[c],
-		}
-		if ca := w.classes[c]; ca != nil {
-			cs.Completed = uint64(ca.Count())
-			cs.Mean = ca.Mean()
-		}
-		if rv := r.resClass[c]; rv != nil {
-			cs.P95 = rv.Percentile(95)
-		}
-		out[i] = cs
-	}
-	return out
-}
-
 // emitSnapshot sends the current interval window to every observer and
 // opens the next one.
 func (r *run) emitSnapshot(ph Phase) {
@@ -2224,7 +1585,7 @@ func (r *run) emitSnapshot(ph Phase) {
 		s.P95 = r.res.Percentile(95)
 		s.P99 = r.res.Percentile(99)
 	}
-	s.Classes = r.classStats(to)
+	s.Classes = classReports(st, &r.window, r.winMark, to, r.resClass, maxSnapshotClasses)
 	if c := st.Cluster; c != nil {
 		s.FleetSize = c.NumShards()
 		s.FleetUp = c.UpCount()

@@ -37,7 +37,6 @@ func testStack(t *testing.T, mpl int, seed uint64) Stack {
 
 func TestSpecValidate(t *testing.T) {
 	neg := -1
-	zero := 0.0
 	cases := []struct {
 		name string
 		spec Spec
@@ -55,7 +54,7 @@ func TestSpecValidate(t *testing.T) {
 		{"negative event MPL", Spec{Phases: []Phase{{Kind: KindClosed, Duration: 1, Events: []Event{{SetMPL: &neg}}}}}, false},
 		{"controller without reference", Spec{Phases: []Phase{{Kind: KindClosed, Duration: 1,
 			Events: []Event{{EnableController: &ControllerSpec{MaxThroughputLoss: 0.05}}}}}}, false},
-		{"bad wfq weight", Spec{Phases: []Phase{{Kind: KindClosed, Duration: 1, Events: []Event{{SetWFQHighWeight: &zero}}}}}, false},
+		{"bad wfq weight", Spec{Phases: []Phase{{Kind: KindClosed, Duration: 1, Events: []Event{{SetWeights: map[string]float64{"high": 0}}}}}}, false},
 		{"valid closed", Spec{Warmup: 1, Phases: []Phase{{Kind: KindClosed, Duration: 1}}}, true},
 		{"valid multi", Spec{Phases: []Phase{
 			{Kind: KindClosed, Duration: 1},

@@ -115,7 +115,7 @@ func NewParallelEngine(coord *Engine, members []*Engine, src MessageSource) *Par
 		p.fired = make([]uint64, nw)
 		for k := 0; k < nw; k++ {
 			p.start[k] = make(chan struct{}, 1)
-			go p.worker(k)
+			go p.worker(k, p.start[k])
 		}
 	}
 	return p
@@ -144,10 +144,12 @@ func (p *ParallelEngine) AddMember(m *Engine) {
 func (p *ParallelEngine) SetLockstep(v bool) { p.lockstep = v }
 
 // worker is one pool goroutine: it owns members k, k+nw, k+2nw, … for
-// the window it is signaled into, and reports back on the done
-// channel.
-func (p *ParallelEngine) worker(k int) {
-	for range p.start[k] {
+// the window it is signaled into on start, and reports back on the
+// done channel. It is handed its start channel rather than reading
+// p.start, which Close clears, possibly before the goroutine first
+// runs.
+func (p *ParallelEngine) worker(k int, start <-chan struct{}) {
+	for range start {
 		var fired uint64
 		for i := k; i < len(p.members); i += p.nw {
 			fired += p.members[i].Run(p.bound)

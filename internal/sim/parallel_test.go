@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // chaosSource is a MessageSource for property testing: per-member
@@ -233,4 +235,17 @@ func BenchmarkParallelWindowEvent(b *testing.B) {
 	}
 	// Events per op: 4 members x 50 chain steps + 1 coordinator tick.
 	b.ReportMetric(float64(total)/float64(b.N), "events/op")
+}
+
+// TestParallelCloseBeforeWorkersRun: a run refused up front closes its
+// ensemble right after construction, possibly before the worker
+// goroutines first run; they must exit cleanly, not index the cleared
+// channel slice.
+func TestParallelCloseBeforeWorkersRun(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for i := 0; i < 200; i++ {
+		NewParallelEngine(NewEngine(), []*Engine{NewEngine(), NewEngine()}, nil).Close()
+	}
+	// Give the workers time to run: a crash in one fails the binary.
+	time.Sleep(50 * time.Millisecond)
 }

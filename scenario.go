@@ -5,13 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
 
-	"extsched/internal/core"
-	"extsched/internal/lockmgr"
 	"extsched/internal/runner"
 	"extsched/internal/trace"
-	"extsched/internal/workload"
 	"extsched/metrics"
 )
 
@@ -29,724 +25,42 @@ type TraceRecord = trace.Record
 // without embedding records.
 type TraceSynth = trace.SynthConfig
 
-// Phase kinds accepted by Phase.Kind.
-const (
-	// PhaseClosed is a fixed client population: each client submits,
-	// waits, thinks, repeats (the paper's Section 3.1 closed system).
-	PhaseClosed = "closed"
-	// PhaseOpen is a stationary Poisson arrival process at rate Lambda
-	// (the paper's Section 3.2 open system).
-	PhaseOpen = "open"
-	// PhaseRamp ramps the arrival rate linearly from Lambda to Lambda2
-	// over the phase's duration — a load transition.
-	PhaseRamp = "ramp"
-	// PhaseBurst is a two-state Markov-modulated Poisson process with
-	// long-run mean rate Lambda — flash-crowd traffic.
-	PhaseBurst = "burst"
-	// PhaseTrace replays a trace (Phase.Trace or Phase.TraceSynth).
-	PhaseTrace = "trace"
-	// PhaseDiurnal is a non-homogeneous Poisson process whose rate
-	// follows a sine around Lambda (DiurnalAmp / DiurnalPeriod) — the
-	// day/night cycle of multi-tenant traffic. An optional flash-crowd
-	// window (FlashFactor / FlashAt / FlashDuration) may overlay it.
-	PhaseDiurnal = "diurnal"
-	// PhaseFlash is a stationary Poisson process at Lambda with one
-	// flash-crowd window during which the rate multiplies by
-	// FlashFactor; an optional diurnal sine may overlay it.
-	PhaseFlash = "flash"
+// The scenario vocabulary has one definition: the spec types of the
+// runner that executes it (internal/runner/spec.go, which documents
+// every field and its JSON key). These aliases re-export it, so a
+// Scenario built or parsed here is exactly the spec that runs, and
+// Scenario.Validate is the runner's validation. A Scenario is a
+// warmup, then an ordered list of traffic phases with mid-phase
+// control events; one System runs any number of scenarios, each on
+// pristine simulation state, so repeated runs of the same scenario
+// with the same Config.Seed are bit-identical.
+type (
+	Scenario        = runner.Spec
+	Phase           = runner.Phase
+	PhaseKind       = runner.Kind
+	Event           = runner.Event
+	TenantSpec      = runner.TenantSpec
+	TenantLimits    = runner.TenantLimits
+	FairnessSpec    = runner.FairnessSpec
+	ControllerSpec  = runner.ControllerSpec
+	SLOSpec         = runner.SLOSpec
+	ClassLimits     = runner.ClassLimits
+	AdmitDeadline   = runner.AdmitDeadline
+	ShardSpeedEvent = runner.ShardSpeedEvent
+	ChurnSpec       = runner.ChurnSpec
+	AutoscaleSpec   = runner.AutoscaleSpec
 )
 
-// TenantSpec declares one tenant of a multi-tenant scenario. Listing
-// tenants generalizes the historical two-class (high/low) vocabulary
-// to N named classes: tenant i is assigned class ID i in list order,
-// arrivals are drawn from the tenants' Shares instead of
-// Config.HighPriorityFraction, and per-class results appear in
-// Report.Classes under the tenants' names. Events and the fairness
-// controller address tenants by Name.
-type TenantSpec struct {
-	// Name labels the tenant in reports, snapshots and events.
-	// Required, distinct across the block.
-	Name string `json:"name"`
-	// Weight is the tenant's relative share weight — the WFQ weight
-	// under Config.Policy "wfq", and the fairness controller's
-	// entitlement. 0 means 1.
-	Weight float64 `json:"weight,omitempty"`
-	// Share is the tenant's fraction of arrivals. Shares must each be
-	// > 0 and sum to 1 across the block.
-	Share float64 `json:"share"`
-	// SLOTarget is the tenant's declared p95 response-time target in
-	// seconds (0 = none). Advisory metadata: recorded in the tenant
-	// registry for operators and future controllers.
-	SLOTarget float64 `json:"slo_target,omitempty"`
-	// SizeMean, when > 0, scales the tenant's transactions by a
-	// lognormal multiplier with this mean and squared coefficient of
-	// variation SizeC2 (SizeC2 0 = deterministic scaling). A
-	// heavy-tailed multiplier (SizeC2 >> 1) gives the tenant the
-	// occasional huge transaction of real multi-tenant traffic.
-	SizeMean float64 `json:"size_mean,omitempty"`
-	SizeC2   float64 `json:"size_c2,omitempty"`
-}
-
-// FairnessSpec configures the N-tenant weighted max-min fairness
-// controller: it partitions the MPL across the tenant classes
-// (work-conserving — idle slots are still lent across the partition)
-// and steers the split so each tenant's weight-normalized attained
-// service equalizes. Two invariants hold after every reaction: the
-// per-tenant limits sum to the MPL, and every tenant keeps at least
-// one slot — an aggressor can never capture the whole gate. Unsharded
-// systems only; mutually exclusive with the feedback controller and
-// the SLO controller (all three share the one metrics window).
-type FairnessSpec struct {
-	// Weights overrides the tenants' declared weights, keyed by tenant
-	// name (every listed tenant must exist; weights > 0). Nil means
-	// "use the tenants block's weights".
-	Weights map[string]float64 `json:"weights,omitempty"`
-	// MinObservations gates fairness-window close (0 = 50
-	// completions).
-	MinObservations int `json:"min_observations,omitempty"`
-	// Hysteresis is the imbalance ratio a busy donor must exceed
-	// before a slot moves (0 = 1.2; otherwise >= 1).
-	Hysteresis float64 `json:"hysteresis,omitempty"`
-	// Strict makes the partition a hard cap: a tenant at its limit
-	// never borrows idle capacity. Trades utilization for latency
-	// isolation — under strict an overloaded tenant cannot keep the
-	// backend saturated, so the others' in-DBMS times hold near their
-	// uncontended levels. Default false (work-conserving borrowing).
-	Strict bool `json:"strict,omitempty"`
-}
-
-// ControllerSpec configures the paper's Section 4.3 feedback
-// controller when an Event enables it mid-scenario.
-type ControllerSpec struct {
-	// MaxThroughputLoss is the acceptable fractional throughput loss
-	// versus the reference (e.g. 0.05 keeps 95%). Required.
-	MaxThroughputLoss float64 `json:"max_throughput_loss"`
-	// ReferenceThroughput is the no-MPL optimum in transactions per
-	// second (measure it with an unlimited run, or model it with
-	// RecommendMPL). Required.
-	ReferenceThroughput float64 `json:"reference_throughput"`
-	// MaxRTIncrease / ReferenceRT enable the optional response-time
-	// criterion; zero values disable it.
-	MaxRTIncrease float64 `json:"max_rt_increase,omitempty"`
-	ReferenceRT   float64 `json:"reference_rt,omitempty"`
-	// MinObservations gates observation-window close (0 = the paper's
-	// 100 completions); HoldWindows is the convergence hold count
-	// (0 = 2).
-	MinObservations int `json:"min_observations,omitempty"`
-	HoldWindows     int `json:"hold_windows,omitempty"`
-	// StopOnConverge ends the scenario as soon as the controller
-	// converges (the AutoTune workflow).
-	StopOnConverge bool `json:"stop_on_converge,omitempty"`
-}
-
-// ShardSpeedEvent retargets one shard's relative CPU speed mid-run:
-// model a replica slowing down (speed < 1), failing in slow motion
-// (speed ≪ 1), or recovering (speed back to 1).
-type ShardSpeedEvent struct {
-	Shard int     `json:"shard"`
-	Speed float64 `json:"speed"`
-}
-
-// SLOSpec configures the per-class latency-SLO controller: it
-// partitions the MPL across the two priority classes (work-conserving
-// — unused slots are lent across the partition) and steers the split
-// so the protected class's response-time percentile stays at or below
-// Target, leaving every remaining slot to the other class's
-// throughput. Pair it with AdmitDeadline to shed un-startable work
-// under overload; the partition shapes contention, the deadline bounds
-// the backlog.
-type SLOSpec struct {
-	// Class is the protected class: "high" (default) or "low".
-	Class string `json:"class,omitempty"`
-	// Percentile is the controlled response-time percentile (0 = 95).
-	Percentile float64 `json:"percentile,omitempty"`
-	// Target is the latency bound in seconds. Required, > 0.
-	Target float64 `json:"target"`
-	// MinObservations gates the SLO observation window (0 = 50
-	// completions, at least a tenth of them from the protected class).
-	MinObservations int `json:"min_observations,omitempty"`
-	// Margin is the give-back hysteresis: a slot returns to the other
-	// class only while the measured percentile is below Margin×Target
-	// (0 = 0.5).
-	Margin float64 `json:"margin,omitempty"`
-}
-
-// parseClass resolves a JSON class name ("" defaults to high — the
-// protected class is almost always the high-priority one).
-func parseClass(name string) (core.Class, error) {
-	switch name {
-	case "", "high":
-		return core.ClassHigh, nil
-	case "low":
-		return core.ClassLow, nil
-	default:
-		return 0, fmt.Errorf("extsched: unknown class %q (want high or low)", name)
-	}
-}
-
-// classOf resolves a tenant name to its class ID: list position in the
-// tenants block when one is present, else the legacy high/low pair.
-func (sc Scenario) classOf(name string) (core.Class, error) {
-	if len(sc.Tenants) == 0 {
-		if name == "" {
-			return 0, fmt.Errorf("extsched: empty tenant name")
-		}
-		return parseClass(name)
-	}
-	for i, t := range sc.Tenants {
-		if t.Name == name {
-			return core.Class(i), nil
-		}
-	}
-	return 0, fmt.Errorf("extsched: unknown tenant %q (not in the tenants block)", name)
-}
-
-// maxTenants bounds a tenants block. The limit keeps every tenant's
-// dedicated percentile-reservoir RNG stream distinct (streams are
-// spaced by class ID masked to 16 bits).
-const maxTenants = 1 << 15
-
-// validateTenants checks the tenants block's standalone fields.
-func (sc Scenario) validateTenants() error {
-	if len(sc.Tenants) == 0 {
-		return nil
-	}
-	if len(sc.Tenants) < 2 {
-		return fmt.Errorf("extsched: a tenants block needs >= 2 tenants, have %d", len(sc.Tenants))
-	}
-	if len(sc.Tenants) > maxTenants {
-		return fmt.Errorf("extsched: %d tenants exceeds the %d limit", len(sc.Tenants), maxTenants)
-	}
-	seen := make(map[string]bool, len(sc.Tenants))
-	total := 0.0
-	for i, t := range sc.Tenants {
-		if t.Name == "" {
-			return fmt.Errorf("extsched: tenant %d: name is required", i)
-		}
-		if seen[t.Name] {
-			return fmt.Errorf("extsched: duplicate tenant name %q", t.Name)
-		}
-		seen[t.Name] = true
-		if t.Weight < 0 {
-			return fmt.Errorf("extsched: tenant %q weight %v must be >= 0 (0 = 1)", t.Name, t.Weight)
-		}
-		if t.Share <= 0 {
-			return fmt.Errorf("extsched: tenant %q share %v must be > 0", t.Name, t.Share)
-		}
-		if t.SLOTarget < 0 {
-			return fmt.Errorf("extsched: tenant %q slo_target %v must be >= 0", t.Name, t.SLOTarget)
-		}
-		if t.SizeMean < 0 || t.SizeC2 < 0 {
-			return fmt.Errorf("extsched: tenant %q size dist (mean %v, c2 %v) must be >= 0", t.Name, t.SizeMean, t.SizeC2)
-		}
-		total += t.Share
-	}
-	if total < 0.999 || total > 1.001 {
-		return fmt.Errorf("extsched: tenant shares sum to %v, want 1", total)
-	}
-	return nil
-}
-
-// spec translates the public fairness spec to the runner's vocabulary:
-// every tenant is governed at its declared weight, with Weights
-// overriding by name.
-func (fs FairnessSpec) spec(sc Scenario) (runner.FairnessSpec, error) {
-	rs := runner.FairnessSpec{
-		Weights:         make(map[core.Class]float64, len(sc.Tenants)+len(fs.Weights)),
-		MinObservations: fs.MinObservations,
-		Hysteresis:      fs.Hysteresis,
-		Strict:          fs.Strict,
-	}
-	for i, t := range sc.Tenants {
-		w := t.Weight
-		if w == 0 {
-			w = 1
-		}
-		rs.Weights[core.Class(i)] = w
-	}
-	for name, w := range fs.Weights {
-		c, err := sc.classOf(name)
-		if err != nil {
-			return runner.FairnessSpec{}, err
-		}
-		rs.Weights[c] = w
-	}
-	if err := rs.Validate(); err != nil {
-		return runner.FairnessSpec{}, err
-	}
-	return rs, nil
-}
-
-// Deprecations lists uses of deprecated scenario vocabulary — fields
-// that still parse and behave identically but have a tenant-
-// generalized replacement. cmd/dbsim prints them to stderr; migration
-// notes live in EXPERIMENTS.md.
-func (sc Scenario) Deprecations() []string {
-	var out []string
-	for i, ph := range sc.Phases {
-		for j, ev := range ph.Events {
-			if ev.SetWFQHighWeight != nil {
-				out = append(out, fmt.Sprintf(
-					"phase %d event %d: set_wfq_high_weight is deprecated; write {\"set_weights\": {\"high\": %v}} instead",
-					i, j, *ev.SetWFQHighWeight))
-			}
-		}
-	}
-	return out
-}
-
-// spec translates the public SLO spec to the runner's vocabulary.
-func (s SLOSpec) spec() (runner.SLOSpec, error) {
-	class, err := parseClass(s.Class)
-	if err != nil {
-		return runner.SLOSpec{}, err
-	}
-	return runner.SLOSpec{
-		Class:           class,
-		Percentile:      s.Percentile,
-		Target:          s.Target,
-		MinObservations: s.MinObservations,
-		Margin:          s.Margin,
-	}, nil
-}
-
-// ClassLimits is a static MPL partition: at most High high-class and
-// Low low-class transactions dispatched concurrently (each >= 1), with
-// work-conserving borrowing when one class has no waiting work. Both
-// zero clears the partition.
-type ClassLimits struct {
-	High int `json:"high"`
-	Low  int `json:"low"`
-}
-
-// TenantLimits is a static per-tenant MPL partition, keyed by tenant
-// name (see Event.SetTenantLimits). An empty map clears the partition.
-type TenantLimits map[string]int
-
-// AdmitDeadline sets per-class admission deadlines in seconds: a
-// transaction that cannot START within its class's deadline of
-// arriving is shed — rejected without executing, counted in
-// Report.Shed — instead of queueing unboundedly. Zero disables a
-// class's deadline.
-type AdmitDeadline struct {
-	High float64 `json:"high,omitempty"`
-	Low  float64 `json:"low,omitempty"`
-}
-
-// Event is a mid-phase control action, applied At seconds after the
-// phase's measured start (for the first phase: after warmup ends).
-// Zero-valued action fields are skipped, so one Event can carry
-// several actions at one instant.
-type Event struct {
-	At float64 `json:"at"`
-	// SetMPL changes the multiprogramming limit (0 = unlimited). On a
-	// sharded system it is the cluster-wide limit, split across shards.
-	SetMPL *int `json:"set_mpl,omitempty"`
-	// SetWFQHighWeight reweights the WFQ policy's high class (the low
-	// class keeps weight 1); ignored when the policy is not WFQ.
-	//
-	// Deprecated: the two-class shorthand is superseded by SetWeights,
-	// which reweights any tenant by name. Still parsed and applied —
-	// existing scenario files keep working bit-identically — but
-	// Scenario.Deprecations flags it, and new files should write
-	// {"set_weights": {"high": w}} instead.
-	SetWFQHighWeight *float64 `json:"set_wfq_high_weight,omitempty"`
-	// SetWeights reweights the WFQ policy per tenant (by tenant name,
-	// or "high"/"low" without a tenants block). The map replaces the
-	// policy's weights: tenants absent from it fall back to weight 1.
-	// Ignored when the policy is not WFQ.
-	SetWeights map[string]float64 `json:"set_weights,omitempty"`
-	// SetTenantLimits installs a static per-tenant MPL partition, by
-	// tenant name: each listed tenant gets that many dedicated slots
-	// (each >= 1, summing to at most the MPL), work-conserving. An
-	// empty (but non-nil) map clears the partition — a pointer so the
-	// clear form {} survives a marshal round trip. Unsharded systems
-	// only. The N-tenant generalization of SetClassLimits.
-	SetTenantLimits *TenantLimits `json:"set_tenant_limits,omitempty"`
-	// SetTenantDeadlines changes per-tenant admission deadlines in
-	// seconds, by tenant name (zero clears a tenant's deadline; tenants
-	// absent from the map keep theirs). Works on sharded systems too.
-	// The N-tenant generalization of SetAdmitDeadline.
-	SetTenantDeadlines map[string]float64 `json:"set_tenant_deadlines,omitempty"`
-	// EnableFairness attaches (or replaces) the weighted max-min
-	// fairness controller; DisableFairness detaches it, freezing the
-	// tenant partition where the loop left it. Unsharded systems only.
-	EnableFairness  *FairnessSpec `json:"enable_fairness,omitempty"`
-	DisableFairness bool          `json:"disable_fairness,omitempty"`
-	// SetShardSpeed changes one shard's relative CPU speed. Running it
-	// against an unsharded system is an error.
-	SetShardSpeed *ShardSpeedEvent `json:"set_shard_speed,omitempty"`
-	// SetDispatch switches the cluster's dispatch policy ("rr", "jsq",
-	// "lwl", "affinity", or the sampled "jsq-d"/"lwl-d" with an
-	// optional width like "jsq-d:3") mid-run. Running it against an
-	// unsharded system is an error.
-	SetDispatch string `json:"set_dispatch,omitempty"`
-	// EnableController attaches the feedback controller to the
-	// completion stream; DisableController detaches it, freezing the
-	// MPL where the loop left it.
-	EnableController  *ControllerSpec `json:"enable_controller,omitempty"`
-	DisableController bool            `json:"disable_controller,omitempty"`
-	// SetSLO attaches (or replaces) the latency-SLO controller;
-	// DisableSLO detaches it, freezing the class partition where the
-	// loop left it. Running either against a sharded system is an
-	// error.
-	SetSLO     *SLOSpec `json:"set_slo,omitempty"`
-	DisableSLO bool     `json:"disable_slo,omitempty"`
-	// SetClassLimits installs a static per-class MPL partition (error
-	// on sharded systems; high and low both zero clears it).
-	SetClassLimits *ClassLimits `json:"set_class_limits,omitempty"`
-	// SetAdmitDeadline changes the per-class admission deadlines (zero
-	// clears a class's deadline). Works on sharded systems too — each
-	// shard sheds against its own queue.
-	SetAdmitDeadline *AdmitDeadline `json:"set_admit_deadline,omitempty"`
-	// ShardFail crashes that shard: it goes down, survivors absorb its
-	// MPL share, and the work it held goes to Config.Recovery (resubmit
-	// with backoff, or shed). Error on unsharded systems.
-	ShardFail *int `json:"shard_fail,omitempty"`
-	// ShardRecover returns a down shard to service (or cancels a
-	// drain). Error on unsharded systems.
-	ShardRecover *int `json:"shard_recover,omitempty"`
-	// ShardRemove drains that shard gracefully: no new work routes to
-	// it and it leaves the fleet once empty. Error on unsharded
-	// systems.
-	ShardRemove *int `json:"shard_remove,omitempty"`
-	// ShardAdd joins a fresh shard (same workload and queue policy as
-	// the rest of the fleet, nominal speed, seeded by its index). Error
-	// on unsharded systems.
-	ShardAdd bool `json:"shard_add,omitempty"`
-}
-
-// AutoscaleSpec arms the fleet autoscaler for the whole scenario: a
-// hysteresis controller ticking every Interval simulated seconds from
-// the moment the measurement window opens, reading the mean
-// per-up-shard backlog ((queued+inflight)/up shards) and growing or
-// draining the shard fleet within [Min, Max]. Scale-ups reuse a parked
-// (down or draining) shard first and only build a fresh one when every
-// slot is serving; scale-downs drain the highest-index up shard.
-// Sharded systems only.
-type AutoscaleSpec struct {
-	// Min / Max bound the serving fleet size (1 <= Min <= Max).
-	Min int `json:"min"`
-	Max int `json:"max"`
-	// Interval is the controller tick period in simulated seconds
-	// (0 = 1).
-	Interval float64 `json:"interval,omitempty"`
-	// HighWater / LowWater are the per-up-shard backlog watermarks:
-	// at or above HighWater for BreachWindows consecutive ticks scales
-	// up, at or below LowWater for CalmWindows ticks scales down, and
-	// the band between them holds. Zeros default to HighWater 8 and
-	// LowWater HighWater/4.
-	HighWater float64 `json:"high_water,omitempty"`
-	LowWater  float64 `json:"low_water,omitempty"`
-	// BreachWindows / CalmWindows are the consecutive-tick thresholds
-	// (0s = defaults: 2, and 3x BreachWindows — scaling down is
-	// deliberately slower than scaling up).
-	BreachWindows int `json:"breach_windows,omitempty"`
-	CalmWindows   int `json:"calm_windows,omitempty"`
-	// Cooldown is the minimum time between actions in simulated
-	// seconds (0 = 2x Interval).
-	Cooldown float64 `json:"cooldown,omitempty"`
-	// MPLPerShard, when > 0, retargets the cluster-wide MPL to this
-	// many slots per up shard after every fleet change, so admitted
-	// concurrency scales with capacity.
-	MPLPerShard int `json:"mpl_per_shard,omitempty"`
-}
-
-// ChurnSpec runs a deterministic MTBF/MTTR fault generator for one
-// phase: each shard independently alternates exponential up times
-// (mean MTBF) and down times (mean MTTR), from a seeded schedule that
-// reruns bit-identically. A generated failure that would take the last
-// up shard down is skipped. Sharded systems only.
-type ChurnSpec struct {
-	// MTBF is the per-shard mean time between failures in simulated
-	// seconds (> 0).
-	MTBF float64 `json:"mtbf"`
-	// MTTR is the per-shard mean time to recovery in simulated seconds
-	// (> 0).
-	MTTR float64 `json:"mttr"`
-	// Seed drives the failure schedule (0 = Config.Seed).
-	Seed uint64 `json:"seed,omitempty"`
-}
-
-// Phase is one segment of a Scenario: a traffic source run for
-// Duration simulated seconds, with optional mid-phase control events.
-// Which parameter fields apply depends on Kind; the rest are ignored.
-type Phase struct {
-	// Name labels the phase in reports and snapshots (default: Kind).
-	Name string `json:"name,omitempty"`
-	// Kind is one of PhaseClosed, PhaseOpen, PhaseRamp, PhaseBurst,
-	// PhaseTrace.
-	Kind string `json:"kind"`
-	// Duration is the phase length in simulated seconds (>= 0). A
-	// zero-duration phase starts and stops its traffic source at a
-	// single instant — useful to inject a one-shot burst of closed
-	// clients whose transactions drain into the next phase.
-	Duration float64 `json:"duration"`
-	// Clients is the closed population (0 = 100, the paper's choice);
-	// ThinkTime the mean exponential think time in seconds (0 = none).
-	Clients   int     `json:"clients,omitempty"`
-	ThinkTime float64 `json:"think_time,omitempty"`
-	// Lambda is the arrival rate in transactions/second for open and
-	// burst phases, and the starting rate of a ramp; Lambda2 is the
-	// ramp's ending rate.
-	Lambda  float64 `json:"lambda,omitempty"`
-	Lambda2 float64 `json:"lambda2,omitempty"`
-	// BurstFactor / BurstPeriod shape a burst phase: the on/off state
-	// rates differ by Factor², normalized so the long-run mean stays at
-	// Lambda; state sojourns are exponential with mean Period seconds
-	// (0s = defaults: factor 2, period 100 mean interarrivals).
-	BurstFactor float64 `json:"burst_factor,omitempty"`
-	BurstPeriod float64 `json:"burst_period,omitempty"`
-	// DiurnalAmp / DiurnalPeriod shape a diurnal phase: the rate
-	// follows Lambda·(1 + Amp·sin(2πt/Period)), amplitude in (0,1],
-	// period in seconds. Required for PhaseDiurnal; optional overlay on
-	// PhaseFlash.
-	DiurnalAmp    float64 `json:"diurnal_amp,omitempty"`
-	DiurnalPeriod float64 `json:"diurnal_period,omitempty"`
-	// FlashFactor / FlashAt / FlashDuration shape a flash crowd: for
-	// FlashDuration seconds starting FlashAt seconds into the phase,
-	// the rate multiplies by FlashFactor (>= 1). Required for
-	// PhaseFlash; optional overlay on PhaseDiurnal.
-	FlashFactor   float64 `json:"flash_factor,omitempty"`
-	FlashAt       float64 `json:"flash_at,omitempty"`
-	FlashDuration float64 `json:"flash_duration,omitempty"`
-	// Trace embeds a trace to replay; TraceSynth synthesizes one
-	// instead (exactly one of the two for a trace phase). TraceSpeedup
-	// divides the trace's inter-arrival gaps (0 = 1).
-	Trace        *Trace      `json:"trace,omitempty"`
-	TraceSynth   *TraceSynth `json:"trace_synth,omitempty"`
-	TraceSpeedup float64     `json:"trace_speedup,omitempty"`
-	// Churn, when non-nil, runs the MTBF/MTTR fault generator for this
-	// phase (sharded systems only).
-	Churn *ChurnSpec `json:"churn,omitempty"`
-	// Events are mid-phase control actions.
-	Events []Event `json:"events,omitempty"`
-}
-
-// Scenario is a declarative description of one experiment: a warmup,
-// then an ordered list of traffic phases with mid-phase control
-// events. One System runs any number of scenarios, each on pristine
-// simulation state, so repeated runs of the same scenario with the
-// same Config.Seed are bit-identical.
-type Scenario struct {
-	// Name labels the scenario in output files (unused by the engine).
-	Name string `json:"name,omitempty"`
-	// Warmup is discarded simulated seconds driven by the first
-	// phase's traffic source before the measurement window opens.
-	Warmup float64 `json:"warmup,omitempty"`
-	// SampleInterval, when > 0, streams one windowed metrics.Snapshot
-	// to every observer each interval and records the series in
-	// Result.Snapshots.
-	SampleInterval float64 `json:"sample_interval,omitempty"`
-	// Tenants declares an N-tenant workload: tenant i gets class ID i,
-	// arrivals are split by the tenants' Shares (replacing
-	// Config.HighPriorityFraction tagging), and per-tenant results
-	// appear under the tenants' names in Report.Classes. At least two
-	// tenants when present.
-	Tenants []TenantSpec `json:"tenants,omitempty"`
-	// Fairness, when non-nil, runs the whole scenario under the
-	// weighted max-min fairness controller from the moment the
-	// measurement window opens (an event-free way to arm it;
-	// enable_fairness events can still replace it). Requires a tenants
-	// block and an unsharded system.
-	Fairness *FairnessSpec `json:"fairness,omitempty"`
-	// Autoscale, when non-nil, arms the fleet autoscaler for the whole
-	// run (sharded systems only).
-	Autoscale *AutoscaleSpec `json:"autoscale,omitempty"`
-	// ParallelShards, when true, runs each shard's frontend+backend
-	// pair on its own simulation engine in its own goroutine,
-	// synchronized conservatively at the dispatcher boundary. The run
-	// is deterministic and produces the same Result (and Snapshots) as
-	// the sequential engine for the same Config.Seed. Unsharded systems
-	// ignore the knob. The feedback controller (EnableController) is
-	// not supported in this mode.
-	ParallelShards bool    `json:"parallel_shards,omitempty"`
-	Phases         []Phase `json:"phases"`
-}
-
-// spec translates the public scenario into the runner's vocabulary.
-// It is the single source of truth for scenario validation. With
-// materialize, TraceSynth phases are synthesized in full; without,
-// their configuration is validated and a one-record placeholder stands
-// in, so Validate (and ParseScenario) never pays the generation cost —
-// Run pays it exactly once.
-func (sc Scenario) spec(materialize bool) (runner.Spec, error) {
-	if err := sc.validateTenants(); err != nil {
-		return runner.Spec{}, err
-	}
-	if fs := sc.Fairness; fs != nil {
-		if len(sc.Tenants) == 0 {
-			return runner.Spec{}, fmt.Errorf("extsched: scenario-level fairness needs a tenants block (events can pass explicit weights instead)")
-		}
-		if sc.ParallelShards {
-			return runner.Spec{}, fmt.Errorf("extsched: fairness is not supported with parallel_shards (the controller actuates per completion)")
-		}
-		if _, err := fs.spec(sc); err != nil {
-			return runner.Spec{}, err
-		}
-	}
-	spec := runner.Spec{
-		Warmup:         sc.Warmup,
-		SampleInterval: sc.SampleInterval,
-		ParallelShards: sc.ParallelShards,
-	}
-	if a := sc.Autoscale; a != nil {
-		spec.Autoscale = &runner.AutoscaleSpec{
-			Min:           a.Min,
-			Max:           a.Max,
-			Interval:      a.Interval,
-			HighWater:     a.HighWater,
-			LowWater:      a.LowWater,
-			BreachWindows: a.BreachWindows,
-			CalmWindows:   a.CalmWindows,
-			Cooldown:      a.Cooldown,
-			MPLPerShard:   a.MPLPerShard,
-		}
-	}
-	for i, ph := range sc.Phases {
-		rp := runner.Phase{
-			Name:          ph.Name,
-			Kind:          runner.Kind(ph.Kind),
-			Duration:      ph.Duration,
-			Clients:       ph.Clients,
-			ThinkTime:     ph.ThinkTime,
-			Lambda:        ph.Lambda,
-			Lambda2:       ph.Lambda2,
-			BurstFactor:   ph.BurstFactor,
-			BurstPeriod:   ph.BurstPeriod,
-			DiurnalAmp:    ph.DiurnalAmp,
-			DiurnalPeriod: ph.DiurnalPeriod,
-			FlashFactor:   ph.FlashFactor,
-			FlashAt:       ph.FlashAt,
-			FlashDuration: ph.FlashDuration,
-			Trace:         ph.Trace,
-			TraceSpeedup:  ph.TraceSpeedup,
-		}
-		if ch := ph.Churn; ch != nil {
-			rp.Churn = &runner.ChurnSpec{MTBF: ch.MTBF, MTTR: ch.MTTR, Seed: ch.Seed}
-		}
-		if ph.Kind == PhaseTrace {
-			if ph.Trace != nil && ph.TraceSynth != nil {
-				return runner.Spec{}, fmt.Errorf("extsched: phase %d: set either Trace or TraceSynth, not both", i)
-			}
-			if ph.TraceSynth != nil {
-				if materialize {
-					tr, err := trace.Synthesize(*ph.TraceSynth)
-					if err != nil {
-						return runner.Spec{}, fmt.Errorf("extsched: phase %d: %w", i, err)
-					}
-					rp.Trace = tr
-				} else {
-					if err := ph.TraceSynth.Validate(); err != nil {
-						return runner.Spec{}, fmt.Errorf("extsched: phase %d: %w", i, err)
-					}
-					rp.Trace = &trace.Trace{
-						Source:  "placeholder",
-						Records: []trace.Record{{Arrival: 0, Demand: ph.TraceSynth.MeanDemand}},
-					}
-				}
-			}
-		}
-		for _, ev := range ph.Events {
-			re := runner.Event{
-				At:                ev.At,
-				SetMPL:            ev.SetMPL,
-				SetWFQHighWeight:  ev.SetWFQHighWeight,
-				SetDispatch:       ev.SetDispatch,
-				DisableController: ev.DisableController,
-				DisableSLO:        ev.DisableSLO,
-				DisableFairness:   ev.DisableFairness,
-				ShardFail:         ev.ShardFail,
-				ShardRecover:      ev.ShardRecover,
-				ShardRemove:       ev.ShardRemove,
-				ShardAdd:          ev.ShardAdd,
-			}
-			if len(ev.SetWeights) > 0 {
-				re.SetWeights = make(map[core.Class]float64, len(ev.SetWeights))
-				for name, w := range ev.SetWeights {
-					c, err := sc.classOf(name)
-					if err != nil {
-						return runner.Spec{}, fmt.Errorf("extsched: phase %d: set_weights: %w", i, err)
-					}
-					re.SetWeights[c] = w
-				}
-			}
-			if ev.SetTenantLimits != nil {
-				re.SetTenantLimits = make(map[core.Class]int, len(*ev.SetTenantLimits))
-				for name, l := range *ev.SetTenantLimits {
-					c, err := sc.classOf(name)
-					if err != nil {
-						return runner.Spec{}, fmt.Errorf("extsched: phase %d: set_tenant_limits: %w", i, err)
-					}
-					re.SetTenantLimits[c] = l
-				}
-			}
-			if ev.SetTenantDeadlines != nil {
-				re.SetTenantDeadlines = make(map[core.Class]float64, len(ev.SetTenantDeadlines))
-				for name, d := range ev.SetTenantDeadlines {
-					c, err := sc.classOf(name)
-					if err != nil {
-						return runner.Spec{}, fmt.Errorf("extsched: phase %d: set_tenant_deadlines: %w", i, err)
-					}
-					re.SetTenantDeadlines[c] = d
-				}
-			}
-			if fs := ev.EnableFairness; fs != nil {
-				if sc.ParallelShards {
-					return runner.Spec{}, fmt.Errorf("extsched: phase %d: enable_fairness is not supported with parallel_shards (the controller actuates per completion)", i)
-				}
-				rs, err := fs.spec(sc)
-				if err != nil {
-					return runner.Spec{}, fmt.Errorf("extsched: phase %d: enable_fairness: %w", i, err)
-				}
-				re.EnableFairness = &rs
-			}
-			if ss := ev.SetShardSpeed; ss != nil {
-				re.SetShardSpeed = &runner.ShardSpeed{Shard: ss.Shard, Speed: ss.Speed}
-			}
-			if slo := ev.SetSLO; slo != nil {
-				rs, err := slo.spec()
-				if err != nil {
-					return runner.Spec{}, fmt.Errorf("extsched: phase %d: %w", i, err)
-				}
-				re.SetSLO = &rs
-			}
-			if cl := ev.SetClassLimits; cl != nil {
-				re.SetClassLimits = &runner.ClassLimits{High: cl.High, Low: cl.Low}
-			}
-			if ad := ev.SetAdmitDeadline; ad != nil {
-				re.SetAdmitDeadline = &runner.AdmitDeadline{High: ad.High, Low: ad.Low}
-			}
-			if cs := ev.EnableController; cs != nil {
-				if sc.ParallelShards {
-					return runner.Spec{}, fmt.Errorf("extsched: phase %d: enable_controller is not supported with parallel_shards (the controller actuates per completion, which has no deterministic parallel equivalent)", i)
-				}
-				re.EnableController = &runner.ControllerSpec{
-					MaxThroughputLoss:   cs.MaxThroughputLoss,
-					ReferenceThroughput: cs.ReferenceThroughput,
-					MaxRTIncrease:       cs.MaxRTIncrease,
-					ReferenceRT:         cs.ReferenceRT,
-					MinObservations:     cs.MinObservations,
-					HoldWindows:         cs.HoldWindows,
-					StopOnConverge:      cs.StopOnConverge,
-				}
-			}
-			rp.Events = append(rp.Events, re)
-		}
-		spec.Phases = append(spec.Phases, rp)
-	}
-	if err := spec.Validate(); err != nil {
-		return runner.Spec{}, err
-	}
-	return spec, nil
-}
-
-// Validate checks the scenario (phase kinds, parameters, events,
-// TraceSynth configurations) without synthesizing any traces.
-func (sc Scenario) Validate() error {
-	_, err := sc.spec(false)
-	return err
-}
+// Phase kinds accepted by Phase.Kind (runner.Kind* documents each).
+const (
+	PhaseClosed  = runner.KindClosed  // fixed client population (§3.1 closed system)
+	PhaseOpen    = runner.KindOpen    // Poisson arrivals at Lambda (§3.2 open system)
+	PhaseRamp    = runner.KindRamp    // rate ramps linearly from Lambda to Lambda2
+	PhaseBurst   = runner.KindBurst   // two-state MMPP flash crowds, mean rate Lambda
+	PhaseTrace   = runner.KindTrace   // trace replay (Trace or TraceSynth)
+	PhaseDiurnal = runner.KindDiurnal // sine-modulated Poisson around Lambda
+	PhaseFlash   = runner.KindFlash   // Poisson at Lambda with one flash-crowd window
+)
 
 // ParseScenario decodes a JSON scenario (as written by cmd/dbsim
 // -scenario files) and validates it. Unknown fields are rejected, so
@@ -798,45 +112,21 @@ type ShardResult struct {
 	Report
 }
 
-// TuneResult reports a feedback-controller run (AutoTune, or any
-// scenario with an EnableController event).
-type TuneResult struct {
-	StartMPL   int
-	FinalMPL   int
-	Iterations int
-	Converged  bool
-}
-
-// SLOResult reports a latency-SLO-controlled run (Config.SLO, or any
-// scenario with a SetSLO event).
-type SLOResult struct {
-	// Class is the protected class ("high" or "low").
-	Class string
-	// SLOLimit / OtherLimit are the final slot partition; they sum to
-	// the final MPL.
-	SLOLimit, OtherLimit int
-	// Iterations counts completed SLO reactions; LastMeasured is the
-	// last closed window's measured percentile in seconds.
-	Iterations   int
-	LastMeasured float64
-}
-
-// AutoscaleResult reports an autoscaled run's fleet trajectory.
-type AutoscaleResult struct {
-	// ScaleUps / ScaleDowns count controller actions over the run.
-	ScaleUps, ScaleDowns uint64
-	// FinalFleet is the serving shard count when the run ended;
-	// PeakFleet / MinFleet the extremes observed at controller ticks.
-	FinalFleet, PeakFleet, MinFleet int
-	// ShardSeconds is the total shard-up time accrued inside the
-	// measurement window, summed over all slots — the capacity bill an
-	// autoscaled fleet shrinks versus a fixed one.
-	ShardSeconds float64
-}
+// Controller outcomes are the runner's reports, re-exported: Tune for
+// the feedback controller (AutoTune, enable_controller), SLO for the
+// latency-SLO loop (Config.SLO, set_slo), Fairness for the max-min
+// fairness loop (Scenario.Fairness, enable_fairness) and Autoscale for
+// the fleet autoscaler (Scenario.Autoscale).
+type (
+	TuneResult      = runner.TuneReport
+	SLOResult       = runner.SLOReport
+	FairnessResult  = runner.FairnessReport
+	AutoscaleResult = runner.AutoscaleReport
+)
 
 // ClassResult is one tenant class's slice of a Report window (the
 // N-tenant generalization of the HighRT/LowRT/ShedHigh/ShedLow
-// fields, which remain for two-class runs).
+// fields). Per-class tails, the SLO signal, live here.
 type ClassResult struct {
 	// Class is the tenant's class ID (its position in the tenants
 	// block); Name its registered name ("" when unregistered).
@@ -849,17 +139,6 @@ type ClassResult struct {
 	// 95th percentile (whole-run reports in PercentileSamples mode
 	// only — phase slices carry no per-class reservoir).
 	MeanRT, P95 float64
-}
-
-// FairnessResult reports a fairness-controlled run (Scenario.Fairness,
-// or any scenario with an enable_fairness event).
-type FairnessResult struct {
-	// Limits is the final per-tenant slot partition, keyed by class ID
-	// (it sums to the final MPL).
-	Limits map[int]int
-	// Iterations counts completed fairness reactions; Moves how many
-	// of them actually moved a slot.
-	Iterations, Moves int
 }
 
 // Result is a completed scenario run.
@@ -979,12 +258,10 @@ func reportFrom(r runner.Report) Report {
 		P50:         r.P50,
 		P95:         r.P95,
 		P99:         r.P99,
-		HighP95:     r.HighP95,
-		LowP95:      r.LowP95,
 	}
 	for _, c := range r.Classes {
 		rep.Classes = append(rep.Classes, ClassResult{
-			Class:     int(c.Class),
+			Class:     c.Class,
 			Name:      c.Name,
 			Completed: c.Completed,
 			Shed:      c.Shed,
@@ -1006,104 +283,15 @@ func (s *System) Run(ctx context.Context, sc Scenario, obs ...metrics.Observer) 
 	return s.runScenario(ctx, sc, nil, obs...)
 }
 
-// checkShardEvents vets the scenario's lifecycle actions against this
-// System's fleet: lifecycle events need a sharded config, and fail/
-// recover/remove targets must name a shard that exists by the time the
-// event fires (the starting fleet plus any earlier shard_add events).
-// Validation the scenario alone cannot do — only the System knows the
-// shard count.
-func (s *System) checkShardEvents(sc Scenario) error {
-	n := s.cfg.Shards.Count
-	if sc.Autoscale != nil && n == 0 {
-		return fmt.Errorf("extsched: autoscale on an unsharded system")
-	}
-	for i, ph := range sc.Phases {
-		if n == 0 {
-			if ph.Churn != nil {
-				return fmt.Errorf("extsched: phase %d: churn on an unsharded system", i)
-			}
-			for j, ev := range ph.Events {
-				if ev.ShardFail != nil || ev.ShardRecover != nil || ev.ShardRemove != nil || ev.ShardAdd {
-					return fmt.Errorf("extsched: phase %d event %d: shard lifecycle event on an unsharded system", i, j)
-				}
-			}
-			continue
-		}
-		// Walk the events in firing order, growing the known fleet at
-		// each shard_add.
-		evs := append([]Event(nil), ph.Events...)
-		sort.SliceStable(evs, func(a, b int) bool { return evs[a].At < evs[b].At })
-		for j, ev := range evs {
-			if ev.ShardAdd {
-				n++
-			}
-			for _, tgt := range []struct {
-				name string
-				idx  *int
-			}{
-				{"shard_fail", ev.ShardFail},
-				{"shard_recover", ev.ShardRecover},
-				{"shard_remove", ev.ShardRemove},
-			} {
-				if tgt.idx != nil && *tgt.idx >= n {
-					return fmt.Errorf("extsched: phase %d event %d: %s targets unknown shard %d (fleet has %d)",
-						i, j, tgt.name, *tgt.idx, n)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// applyTenants installs the scenario's tenants block on the fresh
-// stack: every frontend's registry gets the names, weights and SLO
-// targets (so live stats and reports carry tenant names), the WFQ
-// policy — when Config.Policy is "wfq" — is reweighted to the tenants'
-// declared weights, and the generator's arrival stream is split by the
-// tenants' shares, replacing the historical HighPriorityFraction
-// tagging.
-func applyTenants(st *runner.Stack, sc Scenario) error {
-	names := make(map[core.Class]string, len(sc.Tenants))
-	weights := make(map[core.Class]float64, len(sc.Tenants))
-	mix := make([]workload.TenantMix, len(sc.Tenants))
-	for i, t := range sc.Tenants {
-		w := t.Weight
-		if w == 0 {
-			w = 1
-		}
-		if st.Cluster != nil {
-			for _, sh := range st.Cluster.Shards() {
-				sh.FE.RegisterClass(t.Name, w, t.SLOTarget)
-			}
-		} else {
-			st.FE.RegisterClass(t.Name, w, t.SLOTarget)
-		}
-		names[core.Class(i)] = t.Name
-		weights[core.Class(i)] = w
-		mix[i] = workload.TenantMix{
-			Class:    lockmgr.Class(i),
-			Share:    t.Share,
-			SizeMean: t.SizeMean,
-			SizeC2:   t.SizeC2,
-		}
-	}
-	if st.Cluster != nil {
-		st.Cluster.SetWFQWeights(weights)
-	} else {
-		st.FE.SetWFQWeights(weights)
-	}
-	st.ClassNames = names
-	return st.Gen.SetMix(mix)
-}
-
 // runScenario is Run with an optional MPL override for the fresh stack
 // (AutoTune starts at the model's jump-start value, not Config.MPL).
 func (s *System) runScenario(ctx context.Context, sc Scenario, initialMPL *int, obs ...metrics.Observer) (Result, error) {
-	spec, err := sc.spec(true)
-	if err != nil {
+	// Vet the scenario against this System's fleet before building
+	// anything; runner.Run repeats the same checks on the stack.
+	if err := sc.Validate(); err != nil {
 		return Result{}, err
 	}
-	if err := s.checkShardEvents(sc); err != nil {
+	if err := sc.CheckStack(s.cfg.Shards.Count); err != nil {
 		return Result{}, err
 	}
 	mpl := s.cfg.MPL
@@ -1113,18 +301,6 @@ func (s *System) runScenario(ctx context.Context, sc Scenario, initialMPL *int, 
 	st, err := s.buildStack(mpl, sc.ParallelShards && s.cfg.Shards.Count > 0)
 	if err != nil {
 		return Result{}, err
-	}
-	if len(sc.Tenants) > 0 {
-		if err := applyTenants(&st, sc); err != nil {
-			return Result{}, err
-		}
-	}
-	if fs := sc.Fairness; fs != nil {
-		rs, err := fs.spec(sc)
-		if err != nil {
-			return Result{}, err
-		}
-		st.Fairness = &rs
 	}
 	s.cur = &st
 	defer func() { s.cur = nil }()
@@ -1136,13 +312,17 @@ func (s *System) runScenario(ctx context.Context, sc Scenario, initialMPL *int, 
 		collector = &metrics.Collector{}
 		all = append(all, collector)
 	}
-	out, err := runner.Run(ctx, st, spec, all...)
+	out, err := runner.Run(ctx, st, sc, all...)
 	if err != nil {
 		return Result{}, err
 	}
 	res := Result{
-		Total:    reportFrom(out.Total),
-		FinalMPL: out.FinalMPL,
+		Total:     reportFrom(out.Total),
+		Tune:      out.Tune,
+		SLO:       out.SLO,
+		Fairness:  out.Fairness,
+		Autoscale: out.Autoscale,
+		FinalMPL:  out.FinalMPL,
 	}
 	for _, pr := range out.Phases {
 		res.Phases = append(res.Phases, PhaseResult{Name: pr.Name, Kind: string(pr.Kind), Report: reportFrom(pr.Report)})
@@ -1156,48 +336,6 @@ func (s *System) runScenario(ctx context.Context, sc Scenario, initialMPL *int, 
 	}
 	if collector != nil {
 		res.Snapshots = collector.Snapshots
-	}
-	if out.Tune != nil {
-		res.Tune = &TuneResult{
-			StartMPL:   out.Tune.StartMPL,
-			FinalMPL:   out.Tune.FinalMPL,
-			Iterations: out.Tune.Iterations,
-			Converged:  out.Tune.Converged,
-		}
-	}
-	if out.Autoscale != nil {
-		res.Autoscale = &AutoscaleResult{
-			ScaleUps:     out.Autoscale.ScaleUps,
-			ScaleDowns:   out.Autoscale.ScaleDowns,
-			FinalFleet:   out.Autoscale.FinalFleet,
-			PeakFleet:    out.Autoscale.PeakFleet,
-			MinFleet:     out.Autoscale.MinFleet,
-			ShardSeconds: out.Autoscale.ShardSeconds,
-		}
-	}
-	if out.Fairness != nil {
-		fr := &FairnessResult{
-			Limits:     make(map[int]int, len(out.Fairness.Limits)),
-			Iterations: out.Fairness.Iterations,
-			Moves:      out.Fairness.Moves,
-		}
-		for c, l := range out.Fairness.Limits {
-			fr.Limits[int(c)] = l
-		}
-		res.Fairness = fr
-	}
-	if out.SLO != nil {
-		class := "high"
-		if out.SLO.Class == core.ClassLow {
-			class = "low"
-		}
-		res.SLO = &SLOResult{
-			Class:        class,
-			SLOLimit:     out.SLO.SLOLimit,
-			OtherLimit:   out.SLO.OtherLimit,
-			Iterations:   out.SLO.Iterations,
-			LastMeasured: out.SLO.LastMeasured,
-		}
 	}
 	return res, nil
 }

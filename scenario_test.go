@@ -165,7 +165,7 @@ func TestScenarioWFQWeightEvent(t *testing.T) {
 		Phases: []Phase{
 			{Name: "even", Kind: PhaseClosed, Duration: 120},
 			{Name: "skewed", Kind: PhaseClosed, Duration: 120,
-				Events: []Event{{At: 0, SetWFQHighWeight: &w}}},
+				Events: []Event{{At: 0, SetWeights: map[string]float64{"high": w}}}},
 		},
 	})
 	if err != nil {
@@ -501,8 +501,9 @@ func TestSLOScenarioRerunBitIdentical(t *testing.T) {
 	}
 	// The whole point: the protected class's tail stays far below the
 	// unprotected one's under overload.
-	if !(r1.Total.HighP95 > 0 && r1.Total.HighP95 < r1.Total.LowP95) {
-		t.Errorf("class p95s high %v vs low %v — SLO class not protected", r1.Total.HighP95, r1.Total.LowP95)
+	high, low := r1.Total.Class(1).P95, r1.Total.Class(0).P95
+	if !(high > 0 && high < low) {
+		t.Errorf("class p95s high %v vs low %v — SLO class not protected", high, low)
 	}
 }
 

@@ -159,9 +159,6 @@ func TestTenantScenarioParse(t *testing.T) {
 	if !reflect.DeepEqual(sc, back) {
 		t.Errorf("tenants round trip lost data:\n%+v\nvs\n%+v", sc, back)
 	}
-	if dep := sc.Deprecations(); len(dep) != 0 {
-		t.Errorf("clean scenario flagged deprecations: %v", dep)
-	}
 
 	rejects := []struct {
 		name, js, wantErr string
@@ -197,19 +194,5 @@ func TestTenantScenarioParse(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantErr)
 		}
-	}
-}
-
-// TestTenantScenarioDeprecations: the legacy two-class vocabulary
-// still runs but is flagged, so migrating files is a grep away.
-func TestTenantScenarioDeprecations(t *testing.T) {
-	sc, err := ParseScenario([]byte(`{"phases":[{"kind":"open","duration":5,"lambda":10,
-		"events":[{"at":1,"set_wfq_high_weight":2}]}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep := sc.Deprecations()
-	if len(dep) != 1 || !strings.Contains(dep[0], "set_wfq_high_weight") {
-		t.Errorf("Deprecations() = %v, want one set_wfq_high_weight notice", dep)
 	}
 }
