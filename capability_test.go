@@ -30,7 +30,6 @@ func capabilityRequests() map[runner.Feature]func(*Scenario) {
 		runner.FeatureLifecycle:  event(Event{ShardFail: &shard}),
 		runner.FeatureChurn:      func(sc *Scenario) { sc.Phases[0].Churn = &ChurnSpec{MTBF: 50, MTTR: 5} },
 		runner.FeatureAutoscale:  func(sc *Scenario) { sc.Autoscale = &AutoscaleSpec{Min: 1, Max: 2} },
-		runner.FeatureController: event(Event{EnableController: &ControllerSpec{MaxThroughputLoss: 0.05, ReferenceThroughput: 50}}),
 	}
 }
 
@@ -39,8 +38,7 @@ func capabilityRequests() map[runner.Feature]func(*Scenario) {
 // fails in System.Run before any simulated time passes (no observer
 // snapshot although the request sits at t=200), with the row's
 // CapabilityError, and runner.Run on the equivalent stack returns the
-// identical error. Rows refused under parallel_shards request it, so
-// they fail on both shapes.
+// identical error.
 func TestCapabilityTableRefusesUpFront(t *testing.T) {
 	requests := capabilityRequests()
 	configs := []struct {
@@ -61,9 +59,7 @@ func TestCapabilityTableRefusesUpFront(t *testing.T) {
 			sharded := c.cfg.Shards.Count > 0
 			sc := Scenario{SampleInterval: 10, Phases: []Phase{{Kind: PhaseOpen, Lambda: 20, Duration: 300}}}
 			request(&sc)
-			sc.ParallelShards = row.Needs&runner.NeedsSequential != 0
-			refused := sc.ParallelShards ||
-				(row.Needs&runner.NeedsUnsharded != 0 && sharded) ||
+			refused := (row.Needs&runner.NeedsUnsharded != 0 && sharded) ||
 				(row.Needs&runner.NeedsSharded != 0 && !sharded)
 			name := row.Name + " on " + c.name
 			if !refused {
@@ -87,7 +83,7 @@ func TestCapabilityTableRefusesUpFront(t *testing.T) {
 			if snaps != 0 {
 				t.Errorf("%s: %d snapshots streamed before the refusal", name, snaps)
 			}
-			st, err := sys.buildStack(c.cfg.MPL, sc.ParallelShards && sharded)
+			st, err := sys.buildStack(c.cfg.MPL)
 			if err != nil {
 				t.Fatal(err)
 			}

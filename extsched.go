@@ -5,10 +5,10 @@
 // It provides:
 //
 //   - a discrete-event-simulated transactional DBMS (multi-core PS
-//     CPU, striped disks + group-commit log device, LRU buffer pool
-//     with optional checkpointer, strict-2PL lock manager with
-//     deadlock detection, wait timeouts and Preempt-on-Wait, plus a
-//     PostgreSQL-style snapshot-isolation mode);
+//     CPU, striped disks + group-commit log device, LRU buffer pool,
+//     strict-2PL lock manager with deadlock detection, wait timeouts
+//     and Preempt-on-Wait, plus a PostgreSQL-style snapshot-isolation
+//     mode);
 //   - the paper's external scheduling front-end: an MPL gate with a
 //     reorderable external queue (FIFO / Priority / SJF / WFQ) and an
 //     optional admission-control drop mode;
@@ -216,7 +216,7 @@ func (c Config) Validate() error {
 		if c.MPL < 2 {
 			return fmt.Errorf("extsched: SLO control needs MPL >= 2 to partition, have %d", c.MPL)
 		}
-		if err := runner.FeatureSLO.Check("Config.SLO", c.Shards.Count, false); err != nil {
+		if err := runner.FeatureSLO.Check("Config.SLO", c.Shards.Count); err != nil {
 			return err
 		}
 	}
@@ -224,7 +224,7 @@ func (c Config) Validate() error {
 		if cl.High < 1 || cl.Low < 1 {
 			return fmt.Errorf("extsched: class limits high=%d low=%d must both be >= 1", cl.High, cl.Low)
 		}
-		if err := runner.FeaturePartition.Check("Config.ClassLimits", c.Shards.Count, false); err != nil {
+		if err := runner.FeaturePartition.Check("Config.ClassLimits", c.Shards.Count); err != nil {
 			return err
 		}
 	}
@@ -365,12 +365,8 @@ func (s *System) Observe(obs ...metrics.Observer) {
 	s.observers = append(s.observers, obs...)
 }
 
-// buildStack assembles the pristine per-run simulation state. With
-// parallel (scenario opt-in, sharded systems only) each shard's
-// DBMS+frontend pair is built on its own member engine and the stack
-// carries a conservative parallel ensemble over them; everything else
-// — drivers, dispatcher, runner timers — stays on the coordinator.
-func (s *System) buildStack(mpl int, parallel bool) (runner.Stack, error) {
+// buildStack assembles the pristine per-run simulation state.
+func (s *System) buildStack(mpl int) (runner.Stack, error) {
 	cfg := s.cfg
 	w := cfg.WFQHighWeight
 	if w <= 0 {
@@ -406,7 +402,7 @@ func (s *System) buildStack(mpl int, parallel bool) (runner.Stack, error) {
 	// backend builds one DBMS+frontend pair on eng: the lone backend,
 	// or one shard of the fleet (Config.Validate keeps ClassLimits off
 	// sharded configs).
-	backend := func(eng *sim.Engine, dbo workload.DBOptions, mpl int) (*dbms.DB, *dbfe.Frontend, error) {
+	backend := func(dbo workload.DBOptions, mpl int) (*dbms.DB, *dbfe.Frontend, error) {
 		db, err := dbms.New(eng, s.setup.BuildConfig(dbo))
 		if err != nil {
 			return nil, nil, err
@@ -438,24 +434,11 @@ func (s *System) buildStack(mpl int, parallel bool) (runner.Stack, error) {
 			sdbo := dbo
 			sdbo.CPUSpeed = speed
 			sdbo.Seed = cluster.ShardSeed(cfg.Seed, i)
-			// In a parallel run the shard's whole frontend+backend pair
-			// schedules on its own member engine, started at the
-			// coordinator's current instant (mid-run shard_add events
-			// build shards at t > 0).
-			seng := eng
-			if parallel {
-				seng = sim.NewEngine()
-				seng.AdvanceTo(eng.Now())
-			}
-			db, fe, err := backend(seng, sdbo, 0)
+			db, fe, err := backend(sdbo, 0)
 			if err != nil {
 				return cluster.Shard{}, err
 			}
-			sh := cluster.Shard{FE: fe, DB: db, Speed: speed}
-			if parallel {
-				sh.Eng = seng
-			}
-			return sh, nil
+			return cluster.Shard{FE: fe, DB: db, Speed: speed}, nil
 		}
 		shards := make([]cluster.Shard, n)
 		for i := range shards {
@@ -480,18 +463,6 @@ func (s *System) buildStack(mpl int, parallel bool) (runner.Stack, error) {
 		disp.SetMPL(mpl)
 		st.Cluster = disp
 		st.NewShard = func(i int) (cluster.Shard, error) { return makeShard(i, 1) }
-		if parallel {
-			engs := make([]*sim.Engine, len(shards))
-			for i := range shards {
-				engs[i] = shards[i].Eng
-			}
-			pe := sim.NewParallelEngine(eng, engs, disp)
-			if err := disp.EnableParallel(pe); err != nil {
-				pe.Close()
-				return runner.Stack{}, err
-			}
-			st.Par = pe
-		}
 		rp := cluster.RecoveryPolicy{Seed: cfg.Seed}
 		if r := cfg.Recovery; r != nil {
 			rp.Resubmit = r.Mode == RecoveryResubmit
@@ -502,7 +473,7 @@ func (s *System) buildStack(mpl int, parallel bool) (runner.Stack, error) {
 		st.Recovery = &rp
 		return st, nil
 	}
-	db, fe, err := backend(eng, dbo, mpl)
+	db, fe, err := backend(dbo, mpl)
 	if err != nil {
 		return runner.Stack{}, err
 	}

@@ -211,8 +211,8 @@ func (g *Gate) SLOTuneStatus() SLOTuneStatus {
 		OtherLimit: other,
 		Iterations: s.ctl.Iterations(),
 	}
-	if h := s.ctl.History(); len(h) > 0 {
-		st.LastMeasured = h[len(h)-1].Measured
+	if d, ok := s.ctl.Last(); ok {
+		st.LastMeasured = d.Measured
 	}
 	return st
 }

@@ -197,16 +197,20 @@ func TestMiddlewareForwardsFlusher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flushed := false
+	// The handler reports through a channel once Flush has returned:
+	// http.Get returns as soon as the flushed headers arrive, before
+	// the handler is done, so a plain variable would race.
+	flushed := make(chan bool, 1)
 	h := Middleware(g, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		f, ok := w.(http.Flusher)
 		if !ok {
 			t.Error("ResponseWriter behind the middleware lost http.Flusher")
+			flushed <- false
 			return
 		}
 		io.WriteString(w, "chunk")
 		f.Flush()
-		flushed = true
+		flushed <- true
 	}))
 	srv := httptest.NewServer(h)
 	defer srv.Close()
@@ -214,8 +218,15 @@ func TestMiddlewareForwardsFlusher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if !flushed {
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(body) != "chunk" {
+		t.Errorf("body = %q, want %q", body, "chunk")
+	}
+	if !<-flushed {
 		t.Error("streaming handler could not flush")
 	}
 }

@@ -22,8 +22,7 @@ type lruNode struct {
 	prev, next int32
 }
 
-// Pool is an LRU page cache with dirty-page tracking for the
-// background flusher (checkpointer).
+// Pool is an LRU page cache.
 //
 // The recency list is an intrusive doubly-linked list over a node
 // arena rather than a container/list: a node is allocated once per
@@ -38,11 +37,6 @@ type Pool struct {
 	pages      map[uint64]int32
 	hits       uint64
 	misses     uint64
-	dirty      map[uint64]struct{}
-	// evictedDirty counts dirty pages pushed out by eviction; a real
-	// engine must write those back synchronously, so a high count
-	// signals an undersized pool or a lazy flusher.
-	evictedDirty uint64
 }
 
 // New returns a pool holding capacity pages (>= 1).
@@ -55,7 +49,6 @@ func New(capacity int) *Pool {
 		head:     -1,
 		tail:     -1,
 		pages:    make(map[uint64]int32, capacity),
-		dirty:    make(map[uint64]struct{}),
 	}
 }
 
@@ -129,48 +122,12 @@ func (p *Pool) Access(page uint64) bool {
 		i = p.tail
 		victim := p.nodes[i].page
 		delete(p.pages, victim)
-		if _, wasDirty := p.dirty[victim]; wasDirty {
-			delete(p.dirty, victim)
-			p.evictedDirty++
-		}
 		p.unlink(i)
 		p.nodes[i].page = page
 	}
 	p.pages[page] = i
 	p.pushFront(i)
 	return false
-}
-
-// MarkDirty flags a resident page as modified. Non-resident pages are
-// ignored (the write already went through on its miss path).
-func (p *Pool) MarkDirty(page uint64) {
-	if _, ok := p.pages[page]; ok {
-		p.dirty[page] = struct{}{}
-	}
-}
-
-// DirtyCount returns the number of dirty resident pages.
-func (p *Pool) DirtyCount() int { return len(p.dirty) }
-
-// EvictedDirty returns how many dirty pages were lost to eviction
-// before the flusher got to them.
-func (p *Pool) EvictedDirty() uint64 { return p.evictedDirty }
-
-// CollectDirty removes and returns up to max dirty page ids — the
-// flusher's work list. Order is unspecified.
-func (p *Pool) CollectDirty(max int) []uint64 {
-	if max <= 0 || len(p.dirty) == 0 {
-		return nil
-	}
-	out := make([]uint64, 0, min(max, len(p.dirty)))
-	for page := range p.dirty {
-		out = append(out, page)
-		delete(p.dirty, page)
-		if len(out) >= max {
-			break
-		}
-	}
-	return out
 }
 
 // ResetStats clears hit/miss counters (contents stay, so a warmed pool

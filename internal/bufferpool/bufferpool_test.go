@@ -210,54 +210,3 @@ func TestCapacityValidation(t *testing.T) {
 	}()
 	New(0)
 }
-
-func TestDirtyTracking(t *testing.T) {
-	p := New(4)
-	p.Access(1)
-	p.Access(2)
-	p.MarkDirty(1)
-	p.MarkDirty(2)
-	p.MarkDirty(99) // not resident: ignored
-	if p.DirtyCount() != 2 {
-		t.Errorf("dirty = %d, want 2", p.DirtyCount())
-	}
-	got := p.CollectDirty(10)
-	if len(got) != 2 {
-		t.Errorf("collected %d, want 2", len(got))
-	}
-	if p.DirtyCount() != 0 {
-		t.Error("CollectDirty did not clear flags")
-	}
-	if p.CollectDirty(10) != nil {
-		t.Error("second collect should be empty")
-	}
-}
-
-func TestCollectDirtyBatchLimit(t *testing.T) {
-	p := New(10)
-	for i := uint64(0); i < 8; i++ {
-		p.Access(i)
-		p.MarkDirty(i)
-	}
-	first := p.CollectDirty(3)
-	if len(first) != 3 {
-		t.Errorf("batch = %d, want 3", len(first))
-	}
-	if p.DirtyCount() != 5 {
-		t.Errorf("remaining dirty = %d, want 5", p.DirtyCount())
-	}
-}
-
-func TestEvictedDirtyCounted(t *testing.T) {
-	p := New(2)
-	p.Access(1)
-	p.MarkDirty(1)
-	p.Access(2)
-	p.Access(3) // evicts 1 (dirty)
-	if p.EvictedDirty() != 1 {
-		t.Errorf("evicted dirty = %d, want 1", p.EvictedDirty())
-	}
-	if p.DirtyCount() != 0 {
-		t.Errorf("dirty = %d after eviction, want 0", p.DirtyCount())
-	}
-}

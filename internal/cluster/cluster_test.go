@@ -462,7 +462,10 @@ func runChurnProperty(t *testing.T, seed int64, policyName string) {
 		n := d.NumShards()
 		switch r := rng.Float64(); {
 		case r < 0.5: // submit, verifying the eligibility invariant
-			states := d.States()
+			states := make([]ShardState, n)
+			for i := range states {
+				states[i] = d.State(i)
+			}
 			before := d.Routed()
 			key++
 			submitted++

@@ -187,13 +187,18 @@ type Decision struct {
 	TputOK, RTOK bool
 }
 
+// historyLen bounds each controller's reaction log. A live gate runs
+// its loops for as long as it serves traffic, so the log keeps only
+// the most recent reactions; the iteration count covers them all.
+const historyLen = 128
+
 // Controller drives a Gate's MPL from its completion stream.
 type Controller struct {
 	mu        sync.Mutex
 	clock     sim.Clock
 	gate      Gate
 	cfg       Config
-	history   []Decision
+	history   *stats.Ring[Decision]
 	holdCount int
 	converged bool
 	// floor marks MPL values known to violate a target; the controller
@@ -220,7 +225,8 @@ func New(clock sim.Clock, g Gate, cfg Config) (*Controller, error) {
 	if cfg.Reference.MaxThroughput <= 0 {
 		return nil, fmt.Errorf("controller: Reference.MaxThroughput required")
 	}
-	c := &Controller{clock: clock, gate: g, cfg: cfg, floor: cfg.MinMPL - 1, step: cfg.Step}
+	c := &Controller{clock: clock, gate: g, cfg: cfg, history: stats.NewRing[Decision](historyLen),
+		floor: cfg.MinMPL - 1, step: cfg.Step}
 	g.ResetMetrics()
 	return c, nil
 }
@@ -236,14 +242,15 @@ func (c *Controller) Converged() bool {
 func (c *Controller) Iterations() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.history)
+	return c.history.Total()
 }
 
-// History returns the reaction log.
+// History returns the most recent reactions (up to historyLen), oldest
+// first.
 func (c *Controller) History() []Decision {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.history
+	return c.history.Slice()
 }
 
 // Observe consumes one completion event: it closes the observation
@@ -332,8 +339,8 @@ func (c *Controller) react(m core.Metrics) {
 		action = Hold
 	}
 	c.lastAction = action
-	c.history = append(c.history, Decision{
-		Iteration:  len(c.history) + 1,
+	c.history.Add(Decision{
+		Iteration:  c.history.Total() + 1,
 		MPL:        mpl,
 		Throughput: tput,
 		MeanRT:     rt,

@@ -24,6 +24,7 @@ import (
 
 	"extsched/internal/core"
 	"extsched/internal/sim"
+	"extsched/internal/stats"
 )
 
 // ClassGate is the control surface the SLO loop drives: a Gate that
@@ -135,7 +136,7 @@ type SLOController struct {
 	// belowCount counts consecutive below-margin windows (the give-back
 	// pacing state).
 	belowCount int
-	history    []SLODecision
+	history    *stats.Ring[SLODecision]
 }
 
 // NewSLO builds an SLO controller over g and installs the initial
@@ -161,7 +162,8 @@ func NewSLO(clock sim.Clock, g ClassGate, cfg SLOConfig) (*SLOController, error)
 	if total < 2*cfg.MinClassLimit {
 		return nil, fmt.Errorf("controller: SLO partition needs MPL >= %d, gate has %d", 2*cfg.MinClassLimit, total)
 	}
-	c := &SLOController{clock: clock, gate: g, cfg: cfg, sloShare: (total + 1) / 2}
+	c := &SLOController{clock: clock, gate: g, cfg: cfg, sloShare: (total + 1) / 2,
+		history: stats.NewRing[SLODecision](historyLen)}
 	c.clampShare(total)
 	c.apply(total)
 	g.ResetMetrics()
@@ -192,14 +194,22 @@ func (c *SLOController) apply(total int) {
 func (c *SLOController) Iterations() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.history)
+	return c.history.Total()
 }
 
-// History returns the reaction log.
+// History returns the most recent reactions (up to historyLen), oldest
+// first.
 func (c *SLOController) History() []SLODecision {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.history
+	return c.history.Slice()
+}
+
+// Last returns the most recent reaction; ok is false before the first.
+func (c *SLOController) Last() (d SLODecision, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.history.Last()
 }
 
 // Limits returns the current (sloClass, otherClass) slot partition,
@@ -273,8 +283,8 @@ func (c *SLOController) Observe() {
 		// must be re-spread across the classes.
 		c.apply(total)
 	}
-	c.history = append(c.history, SLODecision{
-		Iteration:  len(c.history) + 1,
+	c.history.Add(SLODecision{
+		Iteration:  c.history.Total() + 1,
 		Measured:   measured,
 		SLOLimit:   c.sloShare,
 		OtherLimit: total - c.sloShare,

@@ -126,7 +126,7 @@ func TestSLOControllerSteersPartition(t *testing.T) {
 	c.Observe()
 	checkPartition(t, g)
 
-	if c.Iterations() == 0 || len(c.History()) != c.Iterations() {
+	if c.Iterations() == 0 || len(c.History()) != min(c.Iterations(), historyLen) {
 		t.Fatalf("history bookkeeping broken: %d vs %d", c.Iterations(), len(c.History()))
 	}
 }

@@ -851,27 +851,10 @@ func (f *Frontend) Shed() uint64 {
 	return f.shed
 }
 
-// ShedByClass returns class c's share of the shed count.
-func (f *Frontend) ShedByClass(c Class) uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.shedClass[c]
-}
-
-// ShedCounts returns the total and high-class shed counts as one
-// consistent snapshot. Concurrent reporters must use this instead of
-// separate Shed/ShedByClass calls: a shed landing between two
-// separately-locked reads would make the derived low-class share
-// underflow.
-func (f *Frontend) ShedCounts() (total, high uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.shed, f.shedClass[ClassHigh]
-}
-
 // ShedClasses returns a copy of the per-class shed counts as one
-// consistent snapshot (nil when nothing was shed) — the N-tenant
-// generalization of ShedCounts.
+// consistent snapshot (nil when nothing was shed). Concurrent
+// reporters deriving one class's share from another's must read this
+// one snapshot rather than separately-locked counters.
 func (f *Frontend) ShedClasses() map[Class]uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()

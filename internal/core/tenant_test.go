@@ -86,9 +86,8 @@ func TestExoticClassShedConservation(t *testing.T) {
 	if shedTotal == 0 {
 		t.Fatal("deadline shed nothing; the test needs a tighter setup")
 	}
-	total, _ := fe.ShedCounts()
-	if total != shedTotal {
-		t.Errorf("ShedCounts total = %d, want %d", total, shedTotal)
+	if total := fe.Shed(); total != shedTotal {
+		t.Errorf("Shed total = %d, want %d", total, shedTotal)
 	}
 	if m.Completed != completed {
 		t.Errorf("Completed = %d, want %d", m.Completed, completed)

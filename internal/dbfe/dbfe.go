@@ -48,22 +48,6 @@ type Txn struct {
 	// cancel API, so the execution events still fire — the completion
 	// callback just ignores them).
 	executing, settled, doomed bool
-	// presetArrival/arrivalAt carry an arrival-timestamp override for
-	// deferred deliveries: a recovery resubmit keeps its original
-	// arrival so the reported latency spans the outage, but when the
-	// actual Submit happens later (parallel runs inject it as a member
-	// engine event), Submit's own stamp would clobber the override set
-	// at routing time — so Deliver re-applies it right after Submit,
-	// the same logical point where the sequential path overwrites it.
-	presetArrival bool
-	arrivalAt     float64
-}
-
-// PresetArrival arranges for the txn's Item.Arrival to be set to at
-// when the txn is eventually Delivered, overriding Submit's own stamp.
-func (t *Txn) PresetArrival(at float64) {
-	t.presetArrival = true
-	t.arrivalAt = at
 }
 
 // Failed reports whether the transaction was lost to a shard failure
@@ -237,39 +221,17 @@ func (f *Frontend) Submit(profile dbms.TxnProfile) *Txn {
 // control mode) the transaction may be rejected: it is returned with
 // no callbacks scheduled and counted in Dropped.
 func (f *Frontend) SubmitCB(profile dbms.TxnProfile, cb func(*Txn)) *Txn {
-	t := f.NewTxn(profile, cb)
-	f.Deliver(t)
-	return t
-}
-
-// NewTxn builds the transaction record for profile — class, size hint,
-// payload back-pointer, completion callback — WITHOUT submitting it.
-// It is the construction half of SubmitCB, split out for deferred
-// delivery: a parallel run's dispatcher must hand the caller a Txn
-// synchronously at routing time while the actual Submit happens later
-// as an event on the shard's own engine.
-func (f *Frontend) NewTxn(profile dbms.TxnProfile, cb func(*Txn)) *Txn {
 	t := &Txn{Profile: profile, done: cb}
 	it := &t.Item
 	it.Class = core.Class(profile.Class)
 	it.SizeHint = profile.EstimatedDemand
 	it.Payload = t
-	return t
-}
-
-// Deliver submits a txn built by NewTxn to the external scheduler, at
-// the frontend clock's current instant. It is the submission half of
-// SubmitCB; calling it more than once per txn is a caller bug.
-func (f *Frontend) Deliver(t *Txn) {
 	var done func(*core.Item)
-	if t.done != nil {
+	if cb != nil {
 		done = txnDone
 	}
-	admitted := f.Frontend.Submit(&t.Item, done)
-	if t.presetArrival {
-		t.Item.Arrival = t.arrivalAt
-	}
-	if admitted {
+	if f.Frontend.Submit(it, done) {
 		f.live = append(f.live, t)
 	}
+	return t
 }

@@ -1,8 +1,7 @@
 // Package dbms simulates a transactional database engine out of the
 // substrate resources: a multi-core processor-sharing CPU, striped data
 // disks plus a dedicated (optionally group-commit) log disk, an LRU
-// buffer pool with dirty-page tracking and an optional background
-// checkpointer, and a strict-2PL lock manager. It executes transaction
+// buffer pool, and a strict-2PL lock manager. It executes transaction
 // profiles produced by the workload package as callback-driven state
 // machines over the discrete-event engine: per operation lock → CPU
 // burst → buffer-pool probe → disk I/O on a miss; at the end a log
@@ -112,14 +111,6 @@ type Config struct {
 	// commits the group). Real engines rely on this to keep the log
 	// device off the critical path at high MPLs.
 	GroupCommit bool
-	// FlushInterval, when > 0, runs a background checkpointer: every
-	// FlushInterval simulated seconds it writes up to FlushBatch dirty
-	// buffer-pool pages back to the data disks, competing with
-	// transaction I/O for disk bandwidth. Zero (the default, and the
-	// paper-matching configuration) disables write-back.
-	FlushInterval float64
-	// FlushBatch caps pages written per checkpoint round; default 128.
-	FlushBatch int
 	// RestartBackoff delays an aborted transaction's restart. Default:
 	// exponential with 10 ms mean.
 	RestartBackoff dist.Distribution
@@ -137,11 +128,9 @@ type Stats struct {
 	// FCWAborts counts snapshot-isolation first-committer-wins aborts
 	// (included in Aborted).
 	FCWAborts uint64
-	// PagesFlushed counts dirty pages written back by the checkpointer.
-	PagesFlushed uint64
-	Lock         lockmgr.Stats
-	PoolHits     uint64
-	PoolMiss     uint64
+	Lock      lockmgr.Stats
+	PoolHits  uint64
+	PoolMiss  uint64
 }
 
 // DB is a simulated database engine bound to a sim.Engine.
@@ -160,8 +149,7 @@ type DB struct {
 	stats   Stats
 	// lastWrite records, per row key, the commit time of the newest
 	// committed write — the version check for SI first-committer-wins.
-	lastWrite  map[uint64]float64
-	flushArmed bool
+	lastWrite map[uint64]float64
 }
 
 // attempt is one execution attempt of a transaction.
@@ -229,9 +217,6 @@ func New(eng *sim.Engine, cfg Config) (*DB, error) {
 		lastWrite: make(map[uint64]float64),
 	}
 	db.logdev.SetGroupCommit(cfg.GroupCommit)
-	if db.cfg.FlushInterval > 0 && db.cfg.FlushBatch <= 0 {
-		db.cfg.FlushBatch = 128
-	}
 	db.locks = lockmgr.New(eng, lockmgr.Config{
 		Policy:  cfg.LockPolicy,
 		Preempt: cfg.POW,
@@ -302,7 +287,6 @@ func (db *DB) Exec(profile TxnProfile, onDone func(Result)) {
 		panic("dbms: transaction profile has no operations")
 	}
 	db.inside++
-	db.armFlusher()
 	a := &attempt{
 		profile: profile,
 		onDone:  onDone,
@@ -325,28 +309,6 @@ func (db *DB) startAttempt(a *attempt) {
 	db.active[a.id] = a
 	db.locks.Begin(a.id, a.profile.Class)
 	db.runOp(a)
-}
-
-// armFlusher schedules the next checkpointer round if one isn't
-// pending. The flusher disarms itself once the engine is idle (no
-// active transactions and nothing dirty) so simulations can drain.
-func (db *DB) armFlusher() {
-	if db.cfg.FlushInterval <= 0 || db.flushArmed {
-		return
-	}
-	db.flushArmed = true
-	db.eng.After(db.cfg.FlushInterval, func() {
-		db.flushArmed = false
-		for range db.pool.CollectDirty(db.cfg.FlushBatch) {
-			// Write-back I/O competes with transaction reads on the
-			// striped array; completion needs no continuation.
-			db.array.SubmitIO(func() {})
-			db.stats.PagesFlushed++
-		}
-		if db.inside > 0 || db.pool.DirtyCount() > 0 {
-			db.armFlusher()
-		}
-	})
 }
 
 // cpuWeight maps a class to its CPU scheduling weight.
@@ -415,13 +377,7 @@ func (db *DB) pagePhase(a *attempt) {
 		page := op.Pages[a.pageIdx]
 		a.pageIdx++
 		if db.pool.Access(page) {
-			if op.Write && db.cfg.FlushInterval > 0 {
-				db.pool.MarkDirty(page)
-			}
 			continue // hit: stay on CPU path (cost folded into CPUWork)
-		}
-		if op.Write && db.cfg.FlushInterval > 0 {
-			db.pool.MarkDirty(page)
 		}
 		req, dev := db.array.SubmitIO(func() {
 			a.diskReq = nil

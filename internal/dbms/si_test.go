@@ -177,81 +177,3 @@ func TestSICorroboratesExternalScheduling(t *testing.T) {
 		}
 	}
 }
-
-func TestCheckpointerWritesBack(t *testing.T) {
-	eng := sim.NewEngine()
-	db := mustDB(t, eng, Config{
-		CPUs: 1, Disks: 1,
-		BufferPoolPages: 1000,
-		DiskService:     dist.NewDeterministic(0.001),
-		LogService:      dist.NewDeterministic(0),
-		FlushInterval:   0.05,
-		FlushBatch:      64,
-	})
-	committed := 0
-	for i := 0; i < 50; i++ {
-		page := uint64(i)
-		prof := TxnProfile{Ops: []Op{{Key: uint64(i), Write: true, CPUWork: 0.001, Pages: []uint64{page}}}}
-		eng.After(float64(i)*0.01, func() { db.Exec(prof, func(Result) { committed++ }) })
-	}
-	eng.RunAll() // must drain: the flusher disarms when idle
-	if committed != 50 {
-		t.Fatalf("committed = %d", committed)
-	}
-	if db.Stats().PagesFlushed == 0 {
-		t.Error("checkpointer wrote nothing back")
-	}
-	if db.Pool().DirtyCount() != 0 {
-		t.Errorf("dirty pages remain: %d", db.Pool().DirtyCount())
-	}
-}
-
-func TestCheckpointerDisabledByDefault(t *testing.T) {
-	eng := sim.NewEngine()
-	db := mustDB(t, eng, Config{
-		CPUs: 1, Disks: 1,
-		BufferPoolPages: 100,
-		LogService:      dist.NewDeterministic(0),
-	})
-	db.Exec(TxnProfile{Ops: []Op{{Key: 1, Write: true, CPUWork: 0.001, Pages: []uint64{1}}}}, func(Result) {})
-	eng.RunAll()
-	if db.Stats().PagesFlushed != 0 {
-		t.Error("flusher ran while disabled")
-	}
-}
-
-func TestCheckpointerConsumesDiskBandwidth(t *testing.T) {
-	// Write-heavy workload: with an aggressive checkpointer the data
-	// disks serve extra write-back I/O.
-	run := func(interval float64) (uint64, float64) {
-		eng := sim.NewEngine()
-		db := mustDB(t, eng, Config{
-			CPUs: 1, Disks: 1,
-			BufferPoolPages: 5000,
-			DiskService:     dist.NewDeterministic(0.002),
-			LogService:      dist.NewDeterministic(0),
-			FlushInterval:   interval,
-			FlushBatch:      256,
-			Seed:            31,
-		})
-		g := sim.NewRNG(32, 0)
-		done := 0
-		for i := 0; i < 400; i++ {
-			prof := TxnProfile{Ops: []Op{{
-				Key: uint64(1 << 20 * (i + 1)), Write: true, CPUWork: 0.0005,
-				Pages: []uint64{uint64(g.IntN(4000))},
-			}}}
-			eng.After(float64(i)*0.005, func() { db.Exec(prof, func(Result) { done++ }) })
-		}
-		eng.RunAll()
-		return db.Stats().PagesFlushed, db.DiskUtilization()
-	}
-	flushed, utilOn := run(0.02)
-	_, utilOff := run(0)
-	if flushed == 0 {
-		t.Fatal("no write-back")
-	}
-	if utilOn <= utilOff {
-		t.Errorf("write-back should raise disk utilization: %v vs %v", utilOn, utilOff)
-	}
-}

@@ -101,7 +101,7 @@ func AutoscaleFigure(setupID int, opts RunOpts) (*Figure, error) {
 		for j := range speeds {
 			speeds[j] = 1
 		}
-		st, err := buildShardedStack(setup, speeds, "jsq-d:3", perShardMPL*c.shards, workload.DBOptions{}, opts, false)
+		st, err := buildShardedStack(setup, speeds, "jsq-d:3", perShardMPL*c.shards, workload.DBOptions{}, opts)
 		if err != nil {
 			return autoscaleOutcome{}, err
 		}

@@ -97,7 +97,7 @@ func ChurnFigure(setupID int, opts RunOpts) (*Figure, error) {
 	}
 	results, err := SweepContext(opts.ctx(), len(configs), func(i int) (churnOutcome, error) {
 		c := configs[i]
-		st, err := buildShardedStack(setup, speeds, c.dispatch, mplTotal, workload.DBOptions{}, opts, false)
+		st, err := buildShardedStack(setup, speeds, c.dispatch, mplTotal, workload.DBOptions{}, opts)
 		if err != nil {
 			return churnOutcome{}, err
 		}

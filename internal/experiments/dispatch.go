@@ -36,32 +36,15 @@ func buildShard(eng *sim.Engine, setup workload.Setup, dbo workload.DBOptions, s
 // (split across shards). The stack carries a NewShard factory so
 // autoscaled specs can grow the fleet past the built set; policies are
 // seed-aware, so sampled dispatch ("jsq-d") reruns bit-identically
-// while the plain policies ignore the seed entirely. With parallel,
-// every shard's pair runs on its own member engine under a
-// conservative parallel ensemble (sim.ParallelEngine), the dispatcher
-// acting as the cross-engine message boundary: same seeds, same
-// per-shard event streams — only the execution strategy differs.
-func buildShardedStack(setup workload.Setup, speeds []float64, dispatch string, mplTotal int, dbo workload.DBOptions, opts RunOpts, parallel bool) (runner.Stack, error) {
+// while the plain policies ignore the seed entirely.
+func buildShardedStack(setup workload.Setup, speeds []float64, dispatch string, mplTotal int, dbo workload.DBOptions, opts RunOpts) (runner.Stack, error) {
 	if dbo.Seed == 0 {
 		dbo.Seed = opts.Seed
 	}
 	eng := sim.NewEngine()
-	// newShard builds shard i on the one engine, or on a member engine
-	// started at the coordinator's instant (mid-run shard_add events
-	// build shards at t > 0).
-	newShard := func(i int, speed float64) (cluster.Shard, error) {
-		if !parallel {
-			return buildShard(eng, setup, dbo, speed, i, opts)
-		}
-		meng := sim.NewEngine()
-		meng.AdvanceTo(eng.Now())
-		sh, err := buildShard(meng, setup, dbo, speed, i, opts)
-		sh.Eng = meng
-		return sh, err
-	}
 	shards := make([]cluster.Shard, len(speeds))
 	for i, speed := range speeds {
-		sh, err := newShard(i, speed)
+		sh, err := buildShard(eng, setup, dbo, speed, i, opts)
 		if err != nil {
 			return runner.Stack{}, err
 		}
@@ -81,19 +64,7 @@ func buildShardedStack(setup workload.Setup, speeds []float64, dispatch string, 
 		return runner.Stack{}, err
 	}
 	st := runner.Stack{Eng: eng, Cluster: disp, Gen: gen, Seed: opts.Seed}
-	st.NewShard = func(i int) (cluster.Shard, error) { return newShard(i, 1) }
-	if parallel {
-		engs := make([]*sim.Engine, len(shards))
-		for i := range shards {
-			engs[i] = shards[i].Eng
-		}
-		pe := sim.NewParallelEngine(eng, engs, disp)
-		if err := disp.EnableParallel(pe); err != nil {
-			pe.Close()
-			return runner.Stack{}, err
-		}
-		st.Par = pe
-	}
+	st.NewShard = func(i int) (cluster.Shard, error) { return buildShard(eng, setup, dbo, 1, i, opts) }
 	return st, nil
 }
 
@@ -111,7 +82,7 @@ type DispatchPoint struct {
 // RunDispatch measures one dispatch policy on a heterogeneous shard
 // fleet under open Poisson arrivals at the given rate.
 func RunDispatch(setup workload.Setup, speeds []float64, dispatch string, mplTotal int, lambda float64, opts RunOpts) (DispatchPoint, error) {
-	st, err := buildShardedStack(setup, speeds, dispatch, mplTotal, workload.DBOptions{}, opts, false)
+	st, err := buildShardedStack(setup, speeds, dispatch, mplTotal, workload.DBOptions{}, opts)
 	if err != nil {
 		return DispatchPoint{}, err
 	}

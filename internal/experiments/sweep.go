@@ -149,21 +149,23 @@ func sweep[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)
 	}
 	wg.Wait()
 	// Report the lowest-indexed outcome, mirroring the sequential loop:
-	// it would have stopped at the first bad point, panic or error.
-	// Panics outrank cancellation (they are model bugs, not shutdown).
-	for i := 0; i < n; i++ {
+	// it would have stopped at the first bad point, panic or error. A
+	// panic above that point may still have run (it was claimed before
+	// the lower point failed) and is ignored. Panics outrank
+	// cancellation (they are model bugs, not shutdown).
+	var firstErr error
+	for i := 0; i < n && firstErr == nil; i++ {
 		if panics[i] != nil {
 			panic(fmt.Sprintf("experiments: sweep point %d panicked: %v\nworker stack:\n%s",
 				i, panics[i].value, panics[i].stack))
 		}
+		firstErr = errs[i]
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	return results, nil
 }

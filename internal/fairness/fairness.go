@@ -27,6 +27,7 @@ import (
 	"sync"
 
 	"extsched/internal/core"
+	"extsched/internal/stats"
 )
 
 // Gate is the control surface the fairness loop drives. *core.Frontend
@@ -176,8 +177,16 @@ type Controller struct {
 	cfg     Config
 	classes []core.Class // governed classes, ascending
 	limits  map[core.Class]int
-	history []Decision
+	// history keeps the most recent reactions; moves counts every
+	// reaction that moved a slot.
+	history *stats.Ring[Decision]
+	moves   int
 }
+
+// historyLen bounds the reaction log. A live gate runs the loop for as
+// long as it serves traffic, so the log keeps only the most recent
+// reactions; the counters cover them all.
+const historyLen = 128
 
 // New builds a fairness controller over g and installs the initial
 // weighted partition (Allocate of the gate's current MPL). The gate
@@ -200,7 +209,7 @@ func New(g Gate, cfg Config) (*Controller, error) {
 	}
 	cfg.Weights = weights
 	sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
-	ctl := &Controller{gate: g, cfg: cfg, classes: classes}
+	ctl := &Controller{gate: g, cfg: cfg, classes: classes, history: stats.NewRing[Decision](historyLen)}
 	ctl.limits = Allocate(total, cfg.Weights)
 	ctl.apply()
 	g.SetStrictPartition(cfg.Strict)
@@ -234,27 +243,22 @@ func (c *Controller) Limits() map[core.Class]int {
 func (c *Controller) Iterations() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.history)
+	return c.history.Total()
 }
 
 // Moves returns how many reactions actually moved a slot.
 func (c *Controller) Moves() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
-	for _, d := range c.history {
-		if d.Moved {
-			n++
-		}
-	}
-	return n
+	return c.moves
 }
 
-// History returns the reaction log.
+// History returns the most recent reactions (up to historyLen), oldest
+// first.
 func (c *Controller) History() []Decision {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.history
+	return c.history.Slice()
 }
 
 // Observe consumes one completion event: when the observation window
@@ -287,7 +291,7 @@ func (c *Controller) Observe() {
 		}
 		c.limits = Allocate(total, c.cfg.Weights)
 		c.apply()
-		c.history = append(c.history, Decision{Iteration: len(c.history) + 1, Limits: c.snapshotLimits()})
+		c.history.Add(Decision{Iteration: c.history.Total() + 1, Limits: c.snapshotLimits()})
 		c.gate.ResetMetrics()
 		return
 	}
@@ -323,7 +327,7 @@ func (c *Controller) Observe() {
 			maxScore, haveBusy = score, true
 		}
 	}
-	d := Decision{Iteration: len(c.history) + 1}
+	d := Decision{Iteration: c.history.Total() + 1}
 	haveDonor := haveIdle || haveBusy
 	if haveRecv && haveDonor && donor != receiver &&
 		(haveIdle || maxScore > c.cfg.Hysteresis*minScore) {
@@ -331,9 +335,10 @@ func (c *Controller) Observe() {
 		c.limits[receiver]++
 		c.apply()
 		d.Donor, d.Receiver, d.Moved, d.DonorIdle = donor, receiver, true, haveIdle
+		c.moves++
 	}
 	d.Limits = c.snapshotLimits()
-	c.history = append(c.history, d)
+	c.history.Add(d)
 	c.gate.ResetMetrics()
 }
 

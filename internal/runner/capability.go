@@ -14,9 +14,6 @@ const (
 	NeedsUnsharded Needs = 1 << iota
 	// NeedsSharded: the feature acts on the shard fleet.
 	NeedsSharded
-	// NeedsSequential: the feature is refused under parallel_shards
-	// (Spec.ParallelShards), on any stack.
-	NeedsSequential
 )
 
 // Feature names one row of the capability table.
@@ -31,7 +28,6 @@ const (
 	FeatureLifecycle
 	FeatureChurn
 	FeatureAutoscale
-	FeatureController
 	numFeatures
 )
 
@@ -54,9 +50,9 @@ type Capability struct {
 // consult it, so an unsupported combination fails before any simulated
 // time passes, with the same error from every layer. Everything absent
 // from the table — every phase kind, set_mpl, set_weights,
-// set_tenant_deadlines, set_admit_deadline, the disable_* events,
-// tenants, admission deadlines and queue policies — runs on every
-// shape.
+// set_tenant_deadlines, set_admit_deadline, enable_controller, the
+// disable_* events, tenants, admission deadlines and queue policies —
+// runs on every shape.
 var Capabilities = [numFeatures]Capability{
 	FeatureSLO: {
 		Name: "SLO control", Keys: []string{"set_slo", "Config.SLO"},
@@ -70,8 +66,8 @@ var Capabilities = [numFeatures]Capability{
 	},
 	FeatureFairness: {
 		Name: "fairness control", Keys: []string{"fairness", "enable_fairness"},
-		Needs: NeedsUnsharded | NeedsSequential,
-		Why:   "the controller partitions the lone frontend and actuates per completion",
+		Needs: NeedsUnsharded,
+		Why:   "the controller partitions the lone frontend",
 	},
 	FeatureShardSpeed: {
 		Name: "a shard speed change", Keys: []string{"set_shard_speed"},
@@ -98,11 +94,6 @@ var Capabilities = [numFeatures]Capability{
 		Needs: NeedsSharded,
 		Why:   "the autoscaler grows and drains the fleet",
 	},
-	FeatureController: {
-		Name: "the feedback controller", Keys: []string{"enable_controller"},
-		Needs: NeedsSequential,
-		Why:   "it actuates per completion, which has no deterministic parallel equivalent",
-	},
 }
 
 // eventFeatures maps each capability-gated event key to its table row.
@@ -121,7 +112,6 @@ var eventFeatures = [...]struct {
 	{"shard_recover", FeatureLifecycle, func(ev Event) bool { return ev.ShardRecover != nil }},
 	{"shard_remove", FeatureLifecycle, func(ev Event) bool { return ev.ShardRemove != nil }},
 	{"shard_add", FeatureLifecycle, func(ev Event) bool { return ev.ShardAdd }},
-	{"enable_controller", FeatureController, func(ev Event) bool { return ev.EnableController != nil }},
 }
 
 // CapabilityError reports a feature requested on a stack shape the
@@ -131,8 +121,8 @@ type CapabilityError struct {
 	// Where names the request: the scenario location and key, or the
 	// Config field.
 	Where string
-	// Shape is the refused shape: "on a sharded system", "on an
-	// unsharded system" or "with parallel_shards".
+	// Shape is the refused shape: "on a sharded system" or "on an
+	// unsharded system".
 	Shape string
 }
 
@@ -141,30 +131,23 @@ func (e *CapabilityError) Error() string {
 	return fmt.Sprintf("runner: %s: %s is not supported %s (%s)", e.Where, c.Name, e.Shape, c.Why)
 }
 
-// shape is a stack shape as far as it is known: Validate knows only
-// the parallel flag, CheckStack knows the shard count too.
-type shape struct {
-	known, sharded, parallel bool
-}
-
-// refusal returns the refused-shape phrase, or "" when f runs on sh.
-func (f Feature) refusal(sh shape) string {
+// refusal returns the refused-shape phrase, or "" when f runs on a
+// stack that is sharded or not.
+func (f Feature) refusal(sharded bool) string {
 	needs := Capabilities[f].Needs
 	switch {
-	case needs&NeedsSequential != 0 && sh.parallel:
-		return "with parallel_shards"
-	case sh.known && needs&NeedsUnsharded != 0 && sh.sharded:
+	case needs&NeedsUnsharded != 0 && sharded:
 		return "on a sharded system"
-	case sh.known && needs&NeedsSharded != 0 && !sh.sharded:
+	case needs&NeedsSharded != 0 && !sharded:
 		return "on an unsharded system"
 	}
 	return ""
 }
 
 // Check consults the table for f, requested at where, on a stack of
-// shards shards (0 = unsharded), under parallel_shards when parallel.
-func (f Feature) Check(where string, shards int, parallel bool) error {
-	if r := f.refusal(shape{known: true, sharded: shards > 0, parallel: parallel}); r != "" {
+// shards shards (0 = unsharded).
+func (f Feature) Check(where string, shards int) error {
+	if r := f.refusal(shards > 0); r != "" {
 		return &CapabilityError{Feature: f, Where: where, Shape: r}
 	}
 	return nil
@@ -172,9 +155,9 @@ func (f Feature) Check(where string, shards int, parallel bool) error {
 
 // checkShape consults the table for every feature the spec requests,
 // in spec order.
-func (s Spec) checkShape(sh shape) error {
+func (s Spec) checkShape(sharded bool) error {
 	refuse := func(f Feature, where func() string) error {
-		if r := f.refusal(sh); r != "" {
+		if r := f.refusal(sharded); r != "" {
 			return &CapabilityError{Feature: f, Where: where(), Shape: r}
 		}
 		return nil
@@ -217,7 +200,7 @@ func (s Spec) checkShape(sh shape) error {
 // shard_recover and shard_remove must target a shard that exists when
 // it fires (the starting fleet plus earlier shard_add events).
 func (s Spec) CheckStack(shards int) error {
-	if err := s.checkShape(shape{known: true, sharded: shards > 0, parallel: s.ParallelShards}); err != nil {
+	if err := s.checkShape(shards > 0); err != nil {
 		return err
 	}
 	n := shards

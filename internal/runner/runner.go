@@ -87,13 +87,6 @@ type Stack struct {
 	// unsharded stacks, then to the empty string. A spec's tenants
 	// block replaces it.
 	ClassNames map[core.Class]string
-	// Par, when non-nil, is the conservative parallel ensemble over Eng
-	// (the coordinator) and the shards' member engines. The runner
-	// drives it instead of Eng whenever Spec.ParallelShards is set,
-	// switching the horizon rule per phase (lockstep for closed-loop
-	// phases, coordinator-horizon otherwise). Requires a sharded stack
-	// whose shards were each built on their own engine (Shard.Eng set).
-	Par *sim.ParallelEngine
 }
 
 // Gate returns the control surface the MPL events and the feedback
@@ -683,29 +676,18 @@ func (r *run) classRes(c core.Class) *stats.Reservoir {
 // boundaries, events, snapshot ticks — and a canceled run returns
 // ctx.Err() with the partial Outcome discarded.
 func Run(ctx context.Context, st Stack, spec Spec, obs ...metrics.Observer) (Outcome, error) {
-	if st.Par != nil {
-		defer st.Par.Close()
-		// A stack with a parallel ensemble runs parallel whatever the
-		// flag says, so the capability table must see it that way.
-		spec.ParallelShards = true
-	}
 	if err := spec.Validate(); err != nil {
 		return Outcome{}, err
 	}
 	shards := 0
 	if st.Cluster != nil {
 		shards = st.Cluster.NumShards()
-	} else if st.Par != nil {
-		return Outcome{}, fmt.Errorf("runner: a parallel ensemble needs a sharded stack")
-	}
-	if spec.ParallelShards && st.Cluster != nil && st.Par == nil {
-		return Outcome{}, fmt.Errorf("runner: ParallelShards needs a stack assembled with a parallel ensemble (Stack.Par)")
 	}
 	if err := spec.CheckStack(shards); err != nil {
 		return Outcome{}, err
 	}
 	if st.SLO != nil {
-		if err := FeatureSLO.Check("Stack.SLO", shards, spec.ParallelShards); err != nil {
+		if err := FeatureSLO.Check("Stack.SLO", shards); err != nil {
 			return Outcome{}, err
 		}
 		if err := st.SLO.Validate(); err != nil {
@@ -730,7 +712,7 @@ func Run(ctx context.Context, st Stack, spec Spec, obs ...metrics.Observer) (Out
 		st.Fairness = &cfg
 	}
 	if st.Fairness != nil {
-		if err := FeatureFairness.Check("Stack.Fairness", shards, spec.ParallelShards); err != nil {
+		if err := FeatureFairness.Check("Stack.Fairness", shards); err != nil {
 			return Outcome{}, err
 		}
 	}
@@ -775,13 +757,6 @@ func Run(ctx context.Context, st Stack, spec Spec, obs ...metrics.Observer) (Out
 		if err != nil {
 			return Outcome{}, err
 		}
-		if st.Par != nil {
-			// Closed-loop phases feed completions straight back into
-			// submissions, so the window horizon must cover member events
-			// too (lockstep); autonomous-arrival phases are bounded by the
-			// coordinator's own next event.
-			st.Par.SetLockstep(ph.Kind == KindClosed)
-		}
 		driver.Start()
 		if i == 0 {
 			// The autoscaler is live from the first arrival, warmup
@@ -794,7 +769,7 @@ func Run(ctx context.Context, st Stack, spec Spec, obs ...metrics.Observer) (Out
 				}
 			}
 			if spec.Warmup > 0 {
-				r.advance(st.Eng.Now() + spec.Warmup)
+				st.Eng.Run(st.Eng.Now() + spec.Warmup)
 				if err := ctx.Err(); err != nil {
 					return Outcome{}, err
 				}
@@ -1037,8 +1012,8 @@ func (r *run) sloReport() *SLOReport {
 		OtherLimit: other,
 		Iterations: r.slo.Iterations(),
 	}
-	if h := r.slo.History(); len(h) > 0 {
-		rep.LastMeasured = h[len(h)-1].Measured
+	if d, ok := r.slo.Last(); ok {
+		rep.LastMeasured = d.Measured
 	}
 	return rep
 }
@@ -1180,19 +1155,6 @@ func churnEvents(ch ChurnSpec, shards int, dur float64, stackSeed uint64) []Even
 	return out
 }
 
-// advance drives the stack's engine(s) to the inclusive bound t: the
-// conservative parallel ensemble when the stack has one, the lone
-// engine otherwise. Either way, when it returns every clock stands at
-// t and all cross-engine messages up to t have been delivered, so
-// breakpoint work (events, snapshots) observes one consistent instant.
-func (r *run) advance(t float64) {
-	if r.st.Par != nil {
-		r.st.Par.Run(t)
-		return
-	}
-	r.st.Eng.Run(t)
-}
-
 // runPhase advances the engine through one phase's measured duration,
 // pausing at event and snapshot breakpoints. It reports whether the
 // run should stop early (controller convergence).
@@ -1217,7 +1179,7 @@ func (r *run) runPhase(ctx context.Context, ph Phase) (stopEarly bool, err error
 		if r.spec.SampleInterval > 0 && r.nextSnap < t {
 			t = r.nextSnap
 		}
-		r.advance(t)
+		eng.Run(t)
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}

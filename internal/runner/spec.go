@@ -463,15 +463,7 @@ type Spec struct {
 	// Autoscale, when non-nil, arms the fleet autoscaler for the whole
 	// run.
 	Autoscale *AutoscaleSpec `json:"autoscale,omitempty"`
-	// ParallelShards, when true, runs each shard's frontend+backend
-	// pair on its own simulation engine in its own goroutine,
-	// synchronized conservatively at the dispatcher boundary. The run
-	// is deterministic and produces the same outcome (and snapshots) as
-	// the sequential engine for the same seed. Unsharded stacks have
-	// only one engine to run, so the knob changes nothing there beyond
-	// the capability table's restrictions.
-	ParallelShards bool    `json:"parallel_shards,omitempty"`
-	Phases         []Phase `json:"phases"`
+	Phases    []Phase        `json:"phases"`
 }
 
 // finite reports whether every value is a finite float — the
@@ -591,10 +583,9 @@ func (s Spec) fairnessConfig(x classIndex, fs FairnessSpec) (fairness.Config, er
 }
 
 // Validate checks the spec's shape without touching a stack or
-// synthesizing any trace: phase kinds and parameters, tenant names,
-// event arguments, and the capability table's stack-independent rows
-// (features refused under parallel_shards). CheckStack adds the rows
-// that depend on the stack's shard count.
+// synthesizing any trace: phase kinds and parameters, tenant names and
+// event arguments. CheckStack adds the capability table, which depends
+// on the stack's shard count.
 func (s Spec) Validate() error {
 	if len(s.Phases) == 0 {
 		return fmt.Errorf("runner: scenario has no phases")
@@ -633,7 +624,7 @@ func (s Spec) Validate() error {
 			}
 		}
 	}
-	return s.checkShape(shape{parallel: s.ParallelShards})
+	return nil
 }
 
 // validate checks one phase's traffic parameters and churn spec.

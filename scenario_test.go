@@ -276,16 +276,26 @@ func TestParseScenarioJSON(t *testing.T) {
 		t.Errorf("round trip lost data:\n%+v\nvs\n%+v", sc, back)
 	}
 	// Unknown fields are rejected (typo protection for hand-written
-	// files).
-	if _, err := ParseScenario([]byte(`{"phases":[{"kind":"closed","duraton":5}]}`)); err == nil {
-		t.Error("typo'd field accepted")
+	// files), as are invalid JSON and invalid scenarios.
+	rejects := []struct {
+		name, js, wantErr string
+	}{
+		{"typo'd field", `{"phases":[{"kind":"closed","duraton":5}]}`, "duraton"},
+		// A removed key that only ever chose an execution strategy for
+		// sharded runs; there is one strategy now.
+		{"removed strategy key", `{"parallel_shards":true,"phases":[{"kind":"closed","duration":5}]}`, "unknown field"},
+		{"broken JSON", `{`, "parsing scenario"},
+		{"empty scenario", `{"phases":[]}`, "no phases"},
 	}
-	// Invalid JSON and invalid scenarios are rejected.
-	if _, err := ParseScenario([]byte(`{`)); err == nil {
-		t.Error("broken JSON accepted")
-	}
-	if _, err := ParseScenario([]byte(`{"phases":[]}`)); err == nil {
-		t.Error("empty scenario accepted")
+	for _, tc := range rejects {
+		_, err := ParseScenario([]byte(tc.js))
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantErr)
+		}
 	}
 }
 
