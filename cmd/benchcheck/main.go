@@ -3,7 +3,8 @@
 // (ns/op and allocs/op), live-gate overhead (serial plus RunParallel
 // contention sweeps at GOMAXPROCS 2/4/8, and the Pool fast path),
 // dispatch-policy pick cost at fleet sizes 8 and 1000 (the sampled
-// "jsq-d" path must stay allocation-free and flat in N), and the
+// "jsq-d" path must stay allocation-free and flat in N), stack build
+// (buffer-pool warm-up for Table 2 setups 1, 5 and 11), and the
 // deterministic summary numbers of the fig7, dispatch, slo, churn,
 // autoscale and fairness figures — and compares
 // them against the committed BENCH_baseline.json with per-metric
@@ -35,14 +36,17 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"testing"
 
 	"extsched/gate"
 	"extsched/internal/cluster"
+	"extsched/internal/dbms"
 	"extsched/internal/experiments"
 	"extsched/internal/sim"
+	"extsched/internal/workload"
 )
 
 // Metric is one tracked measurement.
@@ -361,6 +365,44 @@ func measure() ([]Metric, error) {
 		Kind:      "time",
 		Tolerance: 1.0,
 	})
+
+	// Stack build: warming a fresh buffer pool for Table 2 setups 1
+	// (fully cached), 5 (pool far below the database) and 11 (partly
+	// cached) — internal/workload BenchmarkPrewarm. The DB build is not
+	// timed. allocs/op is counted on one warm-up with the GC off: a GC
+	// cycle lets runtime background work (the unique package's map
+	// cleanup, linked in with net/http) allocate, so counting under
+	// b.N would drift with how many cycles a run happens to trigger.
+	for _, id := range []int{1, 5, 11} {
+		setup, err := workload.SetupByID(id)
+		if err != nil {
+			return nil, err
+		}
+		cfg := setup.BuildConfig(workload.DBOptions{Seed: 1})
+		r = testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				db, err := dbms.New(sim.NewEngine(), cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				workload.Prewarm(db, setup.Workload, 1)
+			}
+		})
+		db, err := dbms.New(sim.NewEngine(), cfg)
+		if err != nil {
+			return nil, err
+		}
+		gcPercent := debug.SetGCPercent(-1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		workload.Prewarm(db, setup.Workload, 1)
+		runtime.ReadMemStats(&after)
+		debug.SetGCPercent(gcPercent)
+		add(fmt.Sprintf("stack/prewarm/setup%d/ns_op", id), "time", float64(r.NsPerOp()))
+		add(fmt.Sprintf("stack/prewarm/setup%d/allocs_op", id), "allocs", float64(after.Mallocs-before.Mallocs))
+	}
 
 	// Figure summaries: deterministic given the seed, so drift means
 	// the simulation's behavior changed, not the host.

@@ -6,6 +6,11 @@
 // paper turns the same benchmark into CPU-bound (everything cached,
 // e.g. W_CPU-inventory: 1 GB data / 1 GB pool) or I/O-bound workloads
 // (W_IO-inventory: 6 GB data / 100 MB pool).
+//
+// Page IDs are dense: every page of a database of DBPages pages has an
+// ID in [0, DBPages), which is what AccessPattern.Sample produces. The
+// pool indexes residency by page ID directly, so its index costs four
+// bytes per page up to the largest ID it has seen.
 package bufferpool
 
 import (
@@ -22,21 +27,27 @@ type lruNode struct {
 	prev, next int32
 }
 
-// Pool is an LRU page cache.
+// Pool is an LRU page cache over dense page IDs (see the package
+// doc): an access to page p costs memory for every ID up to p.
 //
 // The recency list is an intrusive doubly-linked list over a node
-// arena rather than a container/list: a node is allocated once per
-// resident slot and reused in place on eviction, so steady-state
-// accesses (and pool warm-up) allocate nothing. At fleet scale — a
-// thousand simulated backends each warming a pool — per-insert
-// element allocation was the dominant build cost.
+// arena rather than a container/list: the arena is allocated once, at
+// capacity, and a node is reused in place on eviction, so steady-state
+// accesses allocate nothing and warm-up never copies the arena. At
+// fleet scale — a thousand simulated backends each warming a pool —
+// per-insert element allocation was the dominant build cost.
+//
+// Residency is a slice indexed by page ID rather than a hash map:
+// warm-up drives millions of probes per simulated stack, and hashing
+// page IDs dominated building one.
 type Pool struct {
-	capacity   int
-	nodes      []lruNode // arena; grows to capacity, then slots recycle
+	nodes      []lruNode // arena; cap is the capacity, slots recycle once full
 	head, tail int32     // head = most recent, -1 = empty
-	pages      map[uint64]int32
-	hits       uint64
-	misses     uint64
+	// slot[page] is page's arena index + 1; 0 means not resident. It
+	// grows by doubling to cover the largest page accessed.
+	slot   []int32
+	hits   uint64
+	misses uint64
 }
 
 // New returns a pool holding capacity pages (>= 1).
@@ -44,19 +55,14 @@ func New(capacity int) *Pool {
 	if capacity < 1 {
 		panic(fmt.Sprintf("bufferpool: capacity %d must be >= 1", capacity))
 	}
-	return &Pool{
-		capacity: capacity,
-		head:     -1,
-		tail:     -1,
-		pages:    make(map[uint64]int32, capacity),
-	}
+	return &Pool{nodes: make([]lruNode, 0, capacity), head: -1, tail: -1}
 }
 
 // Capacity returns the pool size in pages.
-func (p *Pool) Capacity() int { return p.capacity }
+func (p *Pool) Capacity() int { return cap(p.nodes) }
 
 // Resident returns the number of cached pages.
-func (p *Pool) Resident() int { return len(p.pages) }
+func (p *Pool) Resident() int { return len(p.nodes) }
 
 // unlink detaches arena node i from the recency list.
 func (p *Pool) unlink(i int32) {
@@ -104,9 +110,11 @@ func (p *Pool) HitRatio() float64 {
 // loaded (caller is responsible for charging the disk I/O), possibly
 // evicting the least recently used page.
 func (p *Pool) Access(page uint64) bool {
-	if i, ok := p.pages[page]; ok {
+	if page >= uint64(len(p.slot)) {
+		p.grow(page)
+	} else if s := p.slot[page]; s != 0 {
 		p.hits++
-		if p.head != i {
+		if i := s - 1; p.head != i {
 			p.unlink(i)
 			p.pushFront(i)
 		}
@@ -114,20 +122,28 @@ func (p *Pool) Access(page uint64) bool {
 	}
 	p.misses++
 	var i int32
-	if len(p.nodes) < p.capacity {
+	if len(p.nodes) < cap(p.nodes) {
 		i = int32(len(p.nodes))
 		p.nodes = append(p.nodes, lruNode{page: page})
 	} else {
 		// Full: recycle the least recently used slot in place.
 		i = p.tail
-		victim := p.nodes[i].page
-		delete(p.pages, victim)
+		p.slot[p.nodes[i].page] = 0
 		p.unlink(i)
 		p.nodes[i].page = page
 	}
-	p.pages[page] = i
+	p.slot[page] = i + 1
 	p.pushFront(i)
 	return false
+}
+
+// grow extends the slot index to cover page: to twice its length, or
+// to page+1 when that is larger.
+func (p *Pool) grow(page uint64) {
+	n := max(2*len(p.slot), int(page)+1)
+	slot := make([]int32, n)
+	copy(slot, p.slot)
+	p.slot = slot
 }
 
 // ResetStats clears hit/miss counters (contents stay, so a warmed pool

@@ -1,7 +1,9 @@
 package bufferpool
 
 import (
+	"container/list"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -209,4 +211,124 @@ func TestCapacityValidation(t *testing.T) {
 		}
 	}()
 	New(0)
+}
+
+// refLRU is the reference LRU the pool is checked against: a map from
+// page to list element plus a recency list, front = most recent.
+type refLRU struct {
+	capacity     int
+	order        *list.List
+	pages        map[uint64]*list.Element
+	hits, misses uint64
+}
+
+func newRefLRU(capacity int) *refLRU {
+	return &refLRU{capacity: capacity, order: list.New(), pages: map[uint64]*list.Element{}}
+}
+
+func (r *refLRU) access(page uint64) bool {
+	if e, ok := r.pages[page]; ok {
+		r.hits++
+		r.order.MoveToFront(e)
+		return true
+	}
+	r.misses++
+	if r.order.Len() == r.capacity {
+		delete(r.pages, r.order.Remove(r.order.Back()).(uint64))
+	}
+	r.pages[page] = r.order.PushFront(page)
+	return false
+}
+
+// TestPoolMatchesReferenceLRU drives the pool and the reference LRU with
+// the same seeded page sequences and requires identical outcomes and
+// counters on every access.
+func TestPoolMatchesReferenceLRU(t *testing.T) {
+	// boundaries probes the slot index at its edges while it is small:
+	// the ID equal to its length (grows by doubling), its last ID, and
+	// an ID past twice its length (grows to page+1), interleaved with
+	// revisits below the edge.
+	boundaries := func(g *sim.RNG, i, slotLen int) uint64 {
+		if slotLen > 1<<16 || i%4 == 0 {
+			return g.Uint64() % uint64(max(slotLen, 8))
+		}
+		switch i % 4 {
+		case 1:
+			return uint64(slotLen)
+		case 2:
+			return uint64(slotLen - 1)
+		default:
+			return uint64(2*slotLen) + g.Uint64()%3
+		}
+	}
+	skewed := AccessPattern{DBPages: 5000, HotFrac: 0.1, HotAccess: 0.8}
+	cases := []struct {
+		name     string
+		capacity int
+		n        int
+		page     func(g *sim.RNG, i, slotLen int) uint64
+	}{
+		{"capacity1", 1, 5000, func(g *sim.RNG, _, _ int) uint64 { return g.Uint64() % 6 }},
+		{"capacity1-wide", 1, 5000, func(g *sim.RNG, _, _ int) uint64 { return g.Uint64() % 3000 }},
+		{"capacity-equals-space", 64, 20000, func(g *sim.RNG, _, _ int) uint64 { return g.Uint64() % 64 }},
+		{"capacity-exceeds-space", 500, 20000, func(g *sim.RNG, _, _ int) uint64 { return g.Uint64() % 300 }},
+		{"rising-max", 40, 20000, func(g *sim.RNG, i, _ int) uint64 { return g.Uint64() % uint64(1+i) }},
+		{"growth-boundaries", 10, 20000, boundaries},
+		{"growth-boundaries-large", 5000, 20000, boundaries},
+		{"skewed", 100, 50000, func(g *sim.RNG, _, _ int) uint64 { return skewed.Sample(g) }},
+	}
+	for ci, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p, ref := New(tc.capacity), newRefLRU(tc.capacity)
+			g := sim.NewRNG(uint64(100+ci), 0)
+			var doubled, jumped int
+			for i := 0; i < tc.n; i++ {
+				before := len(p.slot)
+				page := tc.page(g, i, before)
+				got, want := p.Access(page), ref.access(page)
+				switch after := len(p.slot); {
+				case after == before:
+				case after == 2*before:
+					doubled++
+				default:
+					jumped++
+				}
+				if got != want || p.Hits() != ref.hits || p.Misses() != ref.misses || p.Resident() != ref.order.Len() {
+					t.Fatalf("access %d (page %d): hit=%v hits=%d misses=%d resident=%d; reference hit=%v hits=%d misses=%d resident=%d",
+						i, page, got, p.Hits(), p.Misses(), p.Resident(), want, ref.hits, ref.misses, ref.order.Len())
+				}
+			}
+			if strings.HasPrefix(tc.name, "growth-boundaries") && (doubled < 3 || jumped < 3) {
+				t.Errorf("slot index doubled %d and jumped %d times, want >= 3 each", doubled, jumped)
+			}
+		})
+	}
+}
+
+// TestAccessSteadyStateAllocsZero: once the slot index covers the page
+// space and the arena is full, hits and evicting misses allocate
+// nothing.
+func TestAccessSteadyStateAllocsZero(t *testing.T) {
+	const space = 4096
+	p := New(1000)
+	p.Access(space - 1)
+	g := sim.NewRNG(7, 0)
+	pages := make([]uint64, 1<<12)
+	for i := range pages {
+		pages[i] = g.Uint64() % space
+	}
+	for _, pg := range pages {
+		p.Access(pg)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(10000, func() {
+		p.Access(pages[i%len(pages)])
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state Access: %v allocs/op, want 0", allocs)
+	}
+	if p.Hits() == 0 || p.Misses() <= 1000 {
+		t.Fatalf("sequence did not exercise both hits and evictions: hits=%d misses=%d", p.Hits(), p.Misses())
+	}
 }
