@@ -4,7 +4,9 @@
 // contention sweeps at GOMAXPROCS 2/4/8, and the Pool fast path),
 // dispatch-policy pick cost at fleet sizes 8 and 1000 (the sampled
 // "jsq-d" path must stay allocation-free and flat in N), stack build
-// (buffer-pool warm-up for Table 2 setups 1, 5 and 11), and the
+// (buffer-pool warm-up for Table 2 setups 1, 5 and 11), one DBMS step
+// (a committed transaction through the device models, and one
+// uncontended lock acquire/release), and the
 // deterministic summary numbers of the fig7, dispatch, slo, churn,
 // autoscale and fairness figures — and compares
 // them against the committed BENCH_baseline.json with per-metric
@@ -45,6 +47,7 @@ import (
 	"extsched/internal/cluster"
 	"extsched/internal/dbms"
 	"extsched/internal/experiments"
+	"extsched/internal/lockmgr"
 	"extsched/internal/sim"
 	"extsched/internal/workload"
 )
@@ -404,6 +407,35 @@ func measure() ([]Metric, error) {
 		add(fmt.Sprintf("stack/prewarm/setup%d/allocs_op", id), "allocs", float64(after.Mallocs-before.Mallocs))
 	}
 
+	// One DBMS step: a committed transaction through the lock manager,
+	// CPU scheduler, buffer pool and disks, in a closed loop of 10 over
+	// pre-generated setup-11 profiles (internal/dbms BenchmarkDBMSTxn),
+	// and one uncontended lock Begin/Acquire/Release (the repository-
+	// root BenchmarkLockAcquireRelease). allocs/op is counted as for
+	// stack/prewarm: on one warmed pass with the GC off.
+	loop, err := newTxnLoop(11, 10)
+	if err != nil {
+		return nil, err
+	}
+	loop.run(2000)
+	r = testing.Benchmark(func(b *testing.B) { loop.run(b.N) })
+	add("dbms/txn/ns_op", "time", float64(r.NsPerOp()))
+	add("dbms/txn/allocs_op", "allocs", float64(warmAllocsPerOp(5000, loop.run)))
+	mgr := lockmgr.New(sim.NewEngine(), lockmgr.Config{OnAbort: func(lockmgr.TxnID, lockmgr.AbortReason) {}})
+	var txn lockmgr.TxnID
+	lockPass := func(n int) {
+		for i := 0; i < n; i++ {
+			txn++
+			mgr.Begin(txn, lockmgr.Low)
+			mgr.Acquire(txn, uint64(txn%1024), lockmgr.X, nil)
+			mgr.Release(txn)
+		}
+	}
+	lockPass(1000)
+	r = testing.Benchmark(func(b *testing.B) { lockPass(b.N) })
+	add("lockmgr/acquire_release/ns_op", "time", float64(r.NsPerOp()))
+	add("lockmgr/acquire_release/allocs_op", "allocs", float64(warmAllocsPerOp(100000, lockPass)))
+
 	// Figure summaries: deterministic given the seed, so drift means
 	// the simulation's behavior changed, not the host.
 	opts := experiments.RunOpts{Warmup: 20, Measure: 120, Seed: 1}
@@ -441,6 +473,72 @@ func measure() ([]Metric, error) {
 }
 
 // addFigure folds each series of a figure into one tracked mean.
+// warmAllocsPerOp counts the allocations of pass(n) with the GC off
+// and returns them per op, truncated like testing's AllocsPerOp.
+func warmAllocsPerOp(n int, pass func(int)) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pass(n)
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(n)
+}
+
+// txnLoop keeps a fixed number of transactions inside a prewarmed DB,
+// cycling through pre-generated profiles so the workload generator is
+// not measured.
+type txnLoop struct {
+	eng      *sim.Engine
+	db       *dbms.DB
+	profiles []dbms.TxnProfile
+	next     int
+	clients  int
+	left     int
+	onDone   func(dbms.Result)
+}
+
+func newTxnLoop(setupID, clients int) (*txnLoop, error) {
+	setup, err := workload.SetupByID(setupID)
+	if err != nil {
+		return nil, err
+	}
+	eng := sim.NewEngine()
+	db, err := dbms.New(eng, setup.BuildConfig(workload.DBOptions{Seed: 1}))
+	if err != nil {
+		return nil, err
+	}
+	workload.Prewarm(db, setup.Workload, 1)
+	gen, err := workload.NewGenerator(setup.Workload, 1)
+	if err != nil {
+		return nil, err
+	}
+	l := &txnLoop{eng: eng, db: db, clients: clients}
+	for i := 0; i < 1024; i++ {
+		l.profiles = append(l.profiles, gen.Next())
+	}
+	l.onDone = func(dbms.Result) { l.dispatch() }
+	return l, nil
+}
+
+func (l *txnLoop) dispatch() {
+	if l.left == 0 {
+		return
+	}
+	l.left--
+	p := l.profiles[l.next]
+	l.next = (l.next + 1) % len(l.profiles)
+	l.db.Exec(p, l.onDone)
+}
+
+// run commits n more transactions and drains the engine.
+func (l *txnLoop) run(n int) {
+	l.left = n
+	for i := 0; i < l.clients; i++ {
+		l.dispatch()
+	}
+	l.eng.RunAll()
+}
+
 func addFigure(out *[]Metric, f *experiments.Figure) {
 	for _, s := range f.Series {
 		if len(s.Y) == 0 {

@@ -11,6 +11,16 @@
 // Weights implement the paper's internal CPU prioritization (Section
 // 5.2): "renice -20 vs 20" maps to a large weight ratio between high-
 // and low-priority transactions.
+//
+// Job records are recycled: when a job completes or is canceled its
+// record returns to the CPU's free list and a later Submit reuses it.
+// Submit therefore hands out a Job handle that carries the record's
+// generation, in the manner of sim.Handle. A handle goes stale the
+// moment its job completes or is canceled, and every operation on a
+// stale handle is harmless: Cancel and SetWeight do nothing,
+// Remaining and Rate report zero, and the record's new job is never
+// touched. With one armed completion event per CPU, bound once in New,
+// Submit and completion allocate nothing in steady state.
 package cpusched
 
 import (
@@ -20,28 +30,56 @@ import (
 	"extsched/internal/sim"
 )
 
-// Job is a resident CPU job handle.
-type Job struct {
+// job is the recycled per-job record.
+type job struct {
 	remaining float64 // seconds of CPU work left at rate 1
 	weight    float64
 	rate      float64 // current service rate (cores)
 	onDone    func()
-	done      bool
-	canceled  bool
-	idx       int // position in the CPU's job slice; -1 when absent
+	canceled  bool // zero-work job canceled before its completion event
+	idx       int  // position in the CPU's job slice; -1 when absent
+	gen       uint64
 }
 
-// Remaining returns the job's outstanding CPU work in seconds.
-func (j *Job) Remaining() float64 { return j.remaining }
+// Job is a handle to a submitted job. It is a value: copy it freely.
+// The zero Job is a valid, permanently stale handle.
+type Job struct {
+	j   *job
+	gen uint64
+}
 
-// Rate returns the job's current service rate in cores.
-func (j *Job) Rate() float64 { return j.rate }
+// live returns the record while the handle is current, else nil.
+func (h Job) live() *job {
+	if h.j == nil || h.j.gen != h.gen {
+		return nil
+	}
+	return h.j
+}
+
+// Remaining returns the job's outstanding CPU work in seconds (zero
+// once it has completed or been canceled).
+func (h Job) Remaining() float64 {
+	if j := h.live(); j != nil {
+		return j.remaining
+	}
+	return 0
+}
+
+// Rate returns the job's current service rate in cores (zero once it
+// has completed or been canceled).
+func (h Job) Rate() float64 {
+	if j := h.live(); j != nil {
+		return j.rate
+	}
+	return 0
+}
 
 // CPU is the shared multi-core resource.
 type CPU struct {
 	eng        *sim.Engine
 	cores      int
-	jobs       []*Job
+	jobs       []*job
+	free       []*job
 	lastUpdate float64
 	// busyTime integrates total busy core-seconds for utilization
 	// reporting.
@@ -51,10 +89,12 @@ type CPU struct {
 	// per job) makes membership changes O(n) arithmetic without event-
 	// heap churn.
 	nextEv  sim.Handle
-	nextJob *Job
+	nextJob *job
+	// fireFn completes nextJob; bound once so arming allocates nothing.
+	fireFn func()
 	// scratch is reused by the water-filling pass to avoid a per-event
 	// allocation.
-	scratch []*Job
+	scratch []*job
 }
 
 // New returns a CPU pool with the given core count (>= 1).
@@ -62,7 +102,9 @@ func New(eng *sim.Engine, cores int) *CPU {
 	if cores < 1 {
 		panic(fmt.Sprintf("cpusched: cores %d must be >= 1", cores))
 	}
-	return &CPU{eng: eng, cores: cores, lastUpdate: eng.Now()}
+	c := &CPU{eng: eng, cores: cores, lastUpdate: eng.Now()}
+	c.fireFn = func() { c.complete(c.nextJob) }
+	return c
 }
 
 // Cores returns the core count.
@@ -80,7 +122,7 @@ func (c *CPU) BusyCoreSeconds() float64 {
 
 // Submit adds a job requiring work seconds of CPU at rate 1, with the
 // given scheduling weight (> 0). onDone fires when the work completes.
-func (c *CPU) Submit(work, weight float64, onDone func()) *Job {
+func (c *CPU) Submit(work, weight float64, onDone func()) Job {
 	if work < 0 || math.IsNaN(work) || math.IsInf(work, 0) {
 		panic(fmt.Sprintf("cpusched: invalid work %v", work))
 	}
@@ -88,41 +130,63 @@ func (c *CPU) Submit(work, weight float64, onDone func()) *Job {
 		panic(fmt.Sprintf("cpusched: weight %v must be positive", weight))
 	}
 	c.advance()
-	j := &Job{remaining: work, weight: weight, onDone: onDone}
+	var j *job
+	if n := len(c.free); n > 0 {
+		j = c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+	} else {
+		j = &job{}
+	}
+	*j = job{remaining: work, weight: weight, onDone: onDone, idx: -1, gen: j.gen}
+	h := Job{j: j, gen: j.gen}
 	if work == 0 {
 		// Complete immediately but asynchronously, preserving the
 		// invariant that callbacks never run inside Submit.
-		j.done = true
 		c.eng.After(0, func() {
-			if !j.canceled {
+			canceled := j.canceled
+			c.release(j)
+			if !canceled {
 				onDone()
 			}
 		})
-		return j
+		return h
 	}
 	j.idx = len(c.jobs)
 	c.jobs = append(c.jobs, j)
 	c.reschedule()
-	return j
+	return h
+}
+
+// release retires a finished or canceled record: the generation bump
+// makes every outstanding handle to it stale.
+func (c *CPU) release(j *job) {
+	j.gen++
+	j.onDone = nil
+	j.idx = -1
+	c.free = append(c.free, j)
 }
 
 // Cancel removes a job before completion (transaction abort). Safe to
-// call on completed jobs (no-op).
-func (c *CPU) Cancel(j *Job) {
-	if j == nil || j.done || j.canceled {
-		if j != nil {
-			j.canceled = true
-		}
+// call on completed jobs and stale handles (no-op).
+func (c *CPU) Cancel(h Job) {
+	j := h.live()
+	if j == nil {
+		return
+	}
+	if j.idx < 0 {
+		// Zero-work job: its completion event releases the record.
+		j.canceled = true
 		return
 	}
 	c.advance()
-	j.canceled = true
 	c.remove(j)
+	c.release(j)
 	c.reschedule()
 }
 
 // remove drops j from the job slice in O(1) by swapping with the tail.
-func (c *CPU) remove(j *Job) {
+func (c *CPU) remove(j *job) {
 	i := j.idx
 	if i < 0 || i >= len(c.jobs) || c.jobs[i] != j {
 		return
@@ -136,12 +200,13 @@ func (c *CPU) remove(j *Job) {
 }
 
 // SetWeight changes a resident job's weight (e.g. a priority change
-// mid-flight). No-op for finished jobs.
-func (c *CPU) SetWeight(j *Job, weight float64) {
+// mid-flight). No-op for finished jobs and stale handles.
+func (c *CPU) SetWeight(h Job, weight float64) {
 	if weight <= 0 {
 		panic(fmt.Sprintf("cpusched: weight %v must be positive", weight))
 	}
-	if j.done || j.canceled {
+	j := h.live()
+	if j == nil || j.idx < 0 {
 		return
 	}
 	c.advance()
@@ -247,7 +312,7 @@ func (c *CPU) reschedule() {
 
 // arm schedules one event for the earliest finisher at current rates.
 func (c *CPU) arm() {
-	var soonest *Job
+	var soonest *job
 	best := math.Inf(1)
 	for _, j := range c.jobs {
 		if j.rate <= 0 {
@@ -261,15 +326,17 @@ func (c *CPU) arm() {
 		return
 	}
 	c.nextJob = soonest
-	c.nextEv = c.eng.At(c.eng.Now()+best, func() { c.complete(soonest) })
+	c.nextEv = c.eng.At(c.eng.Now()+best, c.fireFn)
 }
 
-// complete finishes a job whose remaining work reached zero.
-func (c *CPU) complete(j *Job) {
+// complete finishes a job whose remaining work reached zero. The
+// record is released before onDone runs, so a follow-up Submit from
+// the callback may reuse it.
+func (c *CPU) complete(j *job) {
 	c.advance()
-	j.done = true
-	j.remaining = 0
 	c.remove(j)
+	onDone := j.onDone
+	c.release(j)
 	c.reschedule()
-	j.onDone()
+	onDone()
 }

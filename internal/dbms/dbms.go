@@ -145,14 +145,19 @@ type DB struct {
 	rng     *sim.RNG
 	nextTxn lockmgr.TxnID
 	active  map[lockmgr.TxnID]*attempt
-	inside  int
-	stats   Stats
+	// free holds committed attempts for reuse by Exec.
+	free   []*attempt
+	inside int
+	stats  Stats
 	// lastWrite records, per row key, the commit time of the newest
 	// committed write — the version check for SI first-committer-wins.
 	lastWrite map[uint64]float64
 }
 
-// attempt is one execution attempt of a transaction.
+// attempt is one execution attempt of a transaction. Its four
+// continuations are bound once, when the record is created, and the
+// record is recycled after commit, so the steady-state transaction
+// path allocates no closures.
 type attempt struct {
 	id       lockmgr.TxnID
 	profile  TxnProfile
@@ -163,10 +168,41 @@ type attempt struct {
 	opIdx    int
 	pageIdx  int
 	dead     bool
-	cpuJob   *cpusched.Job
-	diskReq  *disk.Request
+	cpuJob   cpusched.Job
+	diskReq  disk.Request
 	diskDev  *disk.Disk
 	writes   []uint64 // row keys written (SI version check)
+	// Bound continuations: lock grant → cpuPhase, CPU burst done →
+	// pagePhase, data I/O done → pagePhase, log record durable →
+	// finish.
+	grantFn func()
+	cpuDone func()
+	ioDone  func()
+	logDone func()
+}
+
+// newAttempt returns a recycled attempt, or a fresh one with its
+// continuations bound.
+func (db *DB) newAttempt() *attempt {
+	if n := len(db.free); n > 0 {
+		a := db.free[n-1]
+		db.free[n-1] = nil
+		db.free = db.free[:n-1]
+		return a
+	}
+	a := &attempt{}
+	a.grantFn = func() { db.cpuPhase(a) }
+	a.cpuDone = func() {
+		a.cpuJob = cpusched.Job{}
+		a.pageIdx = 0
+		db.pagePhase(a)
+	}
+	a.ioDone = func() {
+		a.diskReq, a.diskDev = disk.Request{}, nil
+		db.pagePhase(a)
+	}
+	a.logDone = func() { db.finish(a) }
+	return a
 }
 
 // New builds a DB. The zero-value defaults documented on Config apply.
@@ -287,11 +323,8 @@ func (db *DB) Exec(profile TxnProfile, onDone func(Result)) {
 		panic("dbms: transaction profile has no operations")
 	}
 	db.inside++
-	a := &attempt{
-		profile: profile,
-		onDone:  onDone,
-		start:   db.eng.Now(),
-	}
+	a := db.newAttempt()
+	a.profile, a.onDone, a.start, a.restarts = profile, onDone, db.eng.Now(), 0
 	db.startAttempt(a)
 }
 
@@ -302,8 +335,8 @@ func (db *DB) startAttempt(a *attempt) {
 	a.opIdx = 0
 	a.pageIdx = 0
 	a.dead = false
-	a.cpuJob = nil
-	a.diskReq = nil
+	a.cpuJob = cpusched.Job{}
+	a.diskReq, a.diskDev = disk.Request{}, nil
 	a.began = db.eng.Now()
 	a.writes = a.writes[:0]
 	db.active[a.id] = a
@@ -341,10 +374,7 @@ func (db *DB) runOp(a *attempt) {
 		if op.Write {
 			mode = lockmgr.X
 		}
-		granted := db.locks.Acquire(a.id, op.Key, mode, func() {
-			db.cpuPhase(a)
-		})
-		if !granted {
+		if !db.locks.Acquire(a.id, op.Key, mode, a.grantFn) {
 			return // cpuPhase fires on grant (or the txn aborts)
 		}
 	}
@@ -358,11 +388,7 @@ func (db *DB) cpuPhase(a *attempt) {
 	}
 	op := a.profile.Ops[a.opIdx]
 	work := op.CPUWork / db.cfg.CPUSpeed
-	a.cpuJob = db.cpu.Submit(work, db.cpuWeight(a.profile.Class), func() {
-		a.cpuJob = nil
-		a.pageIdx = 0
-		db.pagePhase(a)
-	})
+	a.cpuJob = db.cpu.Submit(work, db.cpuWeight(a.profile.Class), a.cpuDone)
 }
 
 // pagePhase probes the buffer pool for the op's pages; misses issue
@@ -379,13 +405,7 @@ func (db *DB) pagePhase(a *attempt) {
 		if db.pool.Access(page) {
 			continue // hit: stay on CPU path (cost folded into CPUWork)
 		}
-		req, dev := db.array.SubmitIO(func() {
-			a.diskReq = nil
-			a.diskDev = nil
-			db.pagePhase(a)
-		})
-		a.diskReq = req
-		a.diskDev = dev
+		a.diskReq, a.diskDev = db.array.SubmitIO(a.ioDone)
 		return
 	}
 	a.opIdx++
@@ -407,26 +427,36 @@ func (db *DB) commit(a *attempt) {
 			}
 		}
 	}
-	db.logdev.Append(func() {
-		if a.dead {
-			return
+	db.logdev.Append(a.logDone)
+}
+
+// finish commits a once its log record is durable, recycles the
+// attempt and reports the result. The result and callback are taken
+// off the attempt first: a closed client with no think time calls
+// Exec from inside onDone, and that Exec may reuse this very record.
+func (db *DB) finish(a *attempt) {
+	if a.dead {
+		return
+	}
+	if db.cfg.Isolation == SI {
+		now := db.eng.Now()
+		for _, key := range a.writes {
+			db.lastWrite[key] = now
 		}
-		if db.cfg.Isolation == SI {
-			now := db.eng.Now()
-			for _, key := range a.writes {
-				db.lastWrite[key] = now
-			}
-		}
-		db.locks.Release(a.id)
-		delete(db.active, a.id)
-		db.inside--
-		db.stats.Committed++
-		a.onDone(Result{
-			Restarts:   a.restarts,
-			InsideTime: db.eng.Now() - a.start,
-			Class:      a.profile.Class,
-		})
-	})
+	}
+	db.locks.Release(a.id)
+	delete(db.active, a.id)
+	db.inside--
+	db.stats.Committed++
+	res := Result{
+		Restarts:   a.restarts,
+		InsideTime: db.eng.Now() - a.start,
+		Class:      a.profile.Class,
+	}
+	onDone := a.onDone
+	a.profile, a.onDone = TxnProfile{}, nil
+	db.free = append(db.free, a)
+	onDone(res)
 }
 
 // abort is the lock manager's victim callback: roll back, pay the
@@ -442,13 +472,11 @@ func (db *DB) abort(id lockmgr.TxnID, _ lockmgr.AbortReason) {
 	a.restarts++
 	// Cancel in-flight resource usage (defensive: victims are normally
 	// blocked on a lock, not running).
-	if a.cpuJob != nil {
-		db.cpu.Cancel(a.cpuJob)
-		a.cpuJob = nil
-	}
-	if a.diskReq != nil && a.diskDev != nil {
+	db.cpu.Cancel(a.cpuJob)
+	a.cpuJob = cpusched.Job{}
+	if a.diskDev != nil {
 		a.diskDev.Cancel(a.diskReq)
-		a.diskReq, a.diskDev = nil, nil
+		a.diskReq, a.diskDev = disk.Request{}, nil
 	}
 	db.locks.Release(id)
 	// Rollback cost: repeat a fraction of the work done so far on the

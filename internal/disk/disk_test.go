@@ -79,7 +79,7 @@ func TestCancelInServiceSuppressesCallback(t *testing.T) {
 func TestCancelNilNoop(t *testing.T) {
 	eng := sim.NewEngine()
 	d := NewDisk(eng, "d0")
-	d.Cancel(nil)
+	d.Cancel(Request{})
 	_ = eng
 }
 

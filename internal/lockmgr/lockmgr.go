@@ -8,11 +8,24 @@
 // experiments do: Repeatable Read (RR) takes S locks on reads and X
 // locks on writes, all held to commit; Uncommitted Read (UR) skips read
 // locks entirely, leaving only write-write conflicts.
+//
+// Every ordering the manager produces follows acquisition order, never
+// Go map order: a lock's holders and a transaction's held locks are
+// kept as slices in the order they were granted, so Release hands
+// freed locks to their waiters in the order the releasing transaction
+// acquired them, and POW preempts a lock's holders in the order they
+// were granted it. Reruns of a seeded simulation are therefore
+// bit-identical.
+//
+// Lock-table entries, transaction states and queued requests are
+// recycled through free lists, so Begin, Acquire (granted or blocked)
+// and Release allocate nothing in steady state.
 package lockmgr
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"extsched/internal/sim"
 )
@@ -97,18 +110,54 @@ type request struct {
 	upgrade bool // S→X upgrade request
 }
 
-// lock is one lock-table entry.
+// holder is one granted lock, as seen from the lock.
+type holder struct {
+	txn  TxnID
+	mode Mode
+}
+
+// heldLock is one granted lock, as seen from the transaction.
+type heldLock struct {
+	key  uint64
+	mode Mode
+}
+
+// lock is one lock-table entry. holders is in grant order.
 type lock struct {
-	holders map[TxnID]Mode
+	holders []holder
 	queue   []*request
 }
 
-// txnState tracks a live transaction.
+// holderIdx returns the index of txn in l.holders, or -1.
+func (l *lock) holderIdx(txn TxnID) int {
+	for i := range l.holders {
+		if l.holders[i].txn == txn {
+			return i
+		}
+	}
+	return -1
+}
+
+// txnState tracks a live transaction. held is in acquisition order; a
+// linear search is cheap because a transaction holds few locks (at
+// most 12 in the Table 1 mixes).
 type txnState struct {
 	id      TxnID
 	class   Class
-	held    map[uint64]Mode
+	held    []heldLock
 	waiting *request // non-nil while blocked
+	// mark is the deadlock search that last visited this transaction.
+	mark uint64
+}
+
+// heldIdx returns the index of key in st.held, or -1.
+func (st *txnState) heldIdx(key uint64) int {
+	for i := range st.held {
+		if st.held[i].key == key {
+			return i
+		}
+	}
+	return -1
 }
 
 // Stats aggregates lock-manager activity.
@@ -131,6 +180,20 @@ type Manager struct {
 	txns        map[TxnID]*txnState
 	seq         uint64
 	stats       Stats
+	// Free lists of emptied lock-table entries, released transaction
+	// states and retired requests.
+	freeLocks []*lock
+	freeTxns  []*txnState
+	freeReqs  []*request
+	// syncGranted is set by syncGrantFn, the onGrant an Acquire installs
+	// on its own request while it tries a head grant, so the caller can
+	// tell an immediate grant from a block.
+	syncGranted bool
+	syncGrantFn func()
+	// dfsMark numbers deadlock searches; dfsEdges is their shared
+	// waits-for edge stack.
+	dfsMark  uint64
+	dfsEdges []TxnID
 	// onAbort is invoked (asynchronously, via a zero-delay event) when
 	// the manager needs a transaction aborted: deadlock victim or POW
 	// preemption. The owner must eventually call Release for the txn.
@@ -156,7 +219,7 @@ func New(eng *sim.Engine, cfg Config) *Manager {
 	if cfg.OnAbort == nil {
 		panic("lockmgr: Config.OnAbort is required")
 	}
-	return &Manager{
+	m := &Manager{
 		eng:         eng,
 		policy:      cfg.Policy,
 		preempt:     cfg.Preempt,
@@ -165,6 +228,8 @@ func New(eng *sim.Engine, cfg Config) *Manager {
 		txns:        make(map[TxnID]*txnState),
 		onAbort:     cfg.OnAbort,
 	}
+	m.syncGrantFn = func() { m.syncGranted = true }
+	return m
 }
 
 // Stats returns a snapshot of activity counters.
@@ -175,7 +240,35 @@ func (m *Manager) Begin(txn TxnID, class Class) {
 	if _, ok := m.txns[txn]; ok {
 		panic(fmt.Sprintf("lockmgr: duplicate Begin for txn %d", txn))
 	}
-	m.txns[txn] = &txnState{id: txn, class: class, held: make(map[uint64]Mode)}
+	st := take(&m.freeTxns)
+	st.id, st.class = txn, class
+	m.txns[txn] = st
+}
+
+// newRequest returns a recycled (or fresh) queued request.
+func (m *Manager) newRequest(txn TxnID, key uint64, mode Mode, class Class, onGrant func(), upgrade bool) *request {
+	req := take(&m.freeReqs)
+	*req = request{txn: txn, key: key, mode: mode, class: class, seq: m.seq, onGrant: onGrant, upgrade: upgrade}
+	m.seq++
+	return req
+}
+
+// take pops a recycled record off a free list, or returns a new one.
+func take[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return new(T)
+	}
+	x := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return x
+}
+
+// freeRequest retires a request that left its queue.
+func (m *Manager) freeRequest(req *request) {
+	req.onGrant = nil
+	m.freeReqs = append(m.freeReqs, req)
 }
 
 // Holding returns the number of locks held by txn.
@@ -211,11 +304,11 @@ func (m *Manager) Acquire(txn TxnID, key uint64, mode Mode, onGrant func()) bool
 	}
 	l := m.locks[key]
 	if l == nil {
-		l = &lock{holders: make(map[TxnID]Mode)}
+		l = take(&m.freeLocks)
 		m.locks[key] = l
 	}
-	if held, ok := st.held[key]; ok {
-		if held == X || held == mode {
+	if hi := st.heldIdx(key); hi >= 0 {
+		if held := st.held[hi].mode; held == X || held == mode {
 			// Already covered (lock strengthening is a no-op).
 			m.stats.Grants++
 			return true
@@ -223,24 +316,23 @@ func (m *Manager) Acquire(txn TxnID, key uint64, mode Mode, onGrant func()) bool
 		// S→X upgrade.
 		m.stats.Upgrades++
 		if len(l.holders) == 1 {
-			l.holders[txn] = X
-			st.held[key] = X
+			l.holders[0].mode = X
+			st.held[hi].mode = X
 			m.stats.Grants++
 			return true
 		}
-		req := &request{txn: txn, key: key, mode: X, class: st.class, seq: m.seq, onGrant: onGrant, upgrade: true}
-		m.seq++
+		req := m.newRequest(txn, key, X, st.class, onGrant, true)
 		// Upgraders wait at the head: they already hold S and must not
 		// queue behind new S requests (which would deadlock trivially).
-		l.queue = append([]*request{req}, l.queue...)
+		l.queue = slices.Insert(l.queue, 0, req)
 		st.waiting = req
 		m.stats.Waits++
 		m.afterBlock(st, l)
 		return false
 	}
 	if len(l.queue) == 0 && m.grantable(l, mode) {
-		l.holders[txn] = mode
-		st.held[key] = mode
+		l.holders = append(l.holders, holder{txn, mode})
+		st.held = append(st.held, heldLock{key, mode})
 		m.stats.Grants++
 		return true
 	}
@@ -249,16 +341,18 @@ func (m *Manager) Acquire(txn TxnID, key uint64, mode Mode, onGrant func()) bool
 	// creates waits-for edges invisible to at-block-time deadlock
 	// detection. Enqueue, apply the policy ordering, then try a head
 	// grant (under PriorityFIFO a high-class request may legitimately
-	// reach the head and be granted immediately).
-	req := &request{txn: txn, key: key, mode: mode, class: st.class, seq: m.seq, onGrant: onGrant}
-	m.seq++
-	syncGranted := false
-	req.onGrant = func() { syncGranted = true }
+	// reach the head and be granted immediately). A grant callback may
+	// re-enter Acquire, so the flag of an outer call is saved.
+	req := m.newRequest(txn, key, mode, st.class, m.syncGrantFn, false)
 	l.queue = append(l.queue, req)
 	m.orderQueue(l)
 	st.waiting = req
+	outer := m.syncGranted
+	m.syncGranted = false
 	m.grantWaiters(key, l)
-	if syncGranted {
+	granted := m.syncGranted
+	m.syncGranted = outer
+	if granted {
 		return true
 	}
 	req.onGrant = onGrant
@@ -271,7 +365,7 @@ func (m *Manager) Acquire(txn TxnID, key uint64, mode Mode, onGrant func()) bool
 // the current holders (queue considered separately by callers).
 func (m *Manager) grantable(l *lock, mode Mode) bool {
 	for _, h := range l.holders {
-		if !compatible(h, mode) {
+		if !compatible(h.mode, mode) {
 			return false
 		}
 	}
@@ -284,15 +378,17 @@ func (m *Manager) orderQueue(l *lock) {
 	if m.policy != PriorityFIFO {
 		return
 	}
-	sort.SliceStable(l.queue, func(i, j int) bool {
-		a, b := l.queue[i], l.queue[j]
+	slices.SortStableFunc(l.queue, func(a, b *request) int {
 		if a.upgrade != b.upgrade {
-			return a.upgrade
+			if a.upgrade {
+				return -1
+			}
+			return 1
 		}
 		if a.class != b.class {
-			return a.class > b.class // High (1) before Low (0)
+			return cmp.Compare(b.class, a.class) // High (1) before Low (0)
 		}
-		return a.seq < b.seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 }
 
@@ -300,11 +396,13 @@ func (m *Manager) orderQueue(l *lock) {
 // timeout after st blocked on lock l.
 func (m *Manager) afterBlock(st *txnState, l *lock) {
 	if m.waitTimeout > 0 {
-		req := st.waiting
+		// Requests are recycled, so the wait is identified by its
+		// arrival sequence number rather than by pointer.
+		seq := st.waiting.seq
 		id := st.id
 		m.eng.After(m.waitTimeout, func() {
 			cur, ok := m.txns[id]
-			if !ok || cur.waiting == nil || cur.waiting != req {
+			if !ok || cur.waiting == nil || cur.waiting.seq != seq {
 				return // granted, released or restarted meanwhile
 			}
 			m.stats.Timeouts++
@@ -321,39 +419,39 @@ func (m *Manager) afterBlock(st *txnState, l *lock) {
 		// POW: preempt any low-priority holder of this lock that is
 		// itself blocked at another lock queue (it cannot make
 		// progress anyway, and it stands in the way of a high).
-		for holder := range l.holders {
-			hs, ok := m.txns[holder]
+		// Holders are visited in grant order.
+		for _, h := range l.holders {
+			hs, ok := m.txns[h.txn]
 			if !ok || hs.class == High || hs.waiting == nil {
 				continue
 			}
 			m.stats.Preemptions++
-			victim := holder
+			victim := h.txn
 			m.eng.After(0, func() { m.onAbort(victim, Preempted) })
 		}
 	}
 }
 
-// waitsFor enumerates the transactions t is directly waiting on:
-// incompatible current holders of the requested lock, plus every
-// request queued ahead of t's request. The queue-predecessor edges are
-// real waits under the no-bypass discipline — a request is never
-// granted before those ahead of it, even if it is compatible with the
-// current holders.
-func (m *Manager) waitsFor(t *txnState) []TxnID {
+// waitsFor appends to m.dfsEdges the transactions t is directly
+// waiting on: incompatible current holders of the requested lock,
+// plus every request queued ahead of t's request. The queue-
+// predecessor edges are real waits under the no-bypass discipline — a
+// request is never granted before those ahead of it, even if it is
+// compatible with the current holders.
+func (m *Manager) waitsFor(t *txnState) {
 	if t.waiting == nil {
-		return nil
+		return
 	}
 	l := m.locks[t.waiting.key]
 	if l == nil {
-		return nil
+		return
 	}
-	var out []TxnID
-	for holder, hm := range l.holders {
-		if holder == t.id {
+	for _, h := range l.holders {
+		if h.txn == t.id {
 			continue // upgrade: own S lock doesn't block itself
 		}
-		if !compatible(hm, t.waiting.mode) {
-			out = append(out, holder)
+		if !compatible(h.mode, t.waiting.mode) {
+			m.dfsEdges = append(m.dfsEdges, h.txn)
 		}
 	}
 	for _, r := range l.queue {
@@ -361,42 +459,49 @@ func (m *Manager) waitsFor(t *txnState) []TxnID {
 			break
 		}
 		if r.txn != t.id {
-			out = append(out, r.txn)
+			m.dfsEdges = append(m.dfsEdges, r.txn)
 		}
 	}
-	return out
 }
 
 // findDeadlockVictim searches for a waits-for cycle through the newly
 // blocked transaction and returns it as the victim (abort-requester
 // policy: deterministic, and any new cycle necessarily runs through
-// the transaction whose block created it).
+// the transaction whose block created it). Visited transactions carry
+// the search's number in their mark, and each level's edges live on
+// the shared m.dfsEdges stack above its parent's.
 func (m *Manager) findDeadlockVictim(start *txnState) (TxnID, bool) {
-	visited := make(map[TxnID]bool)
-	var dfs func(t *txnState) bool
-	dfs = func(t *txnState) bool {
-		if visited[t.id] {
-			return false
-		}
-		visited[t.id] = true
-		for _, next := range m.waitsFor(t) {
-			if next == start.id {
-				return true
-			}
-			ns, ok := m.txns[next]
-			if !ok {
-				continue
-			}
-			if dfs(ns) {
-				return true
-			}
-		}
-		return false
-	}
-	if dfs(start) {
+	m.dfsMark++
+	if m.dfs(start, start.id) {
+		m.dfsEdges = m.dfsEdges[:0]
 		return start.id, true
 	}
 	return 0, false
+}
+
+func (m *Manager) dfs(t *txnState, target TxnID) bool {
+	if t.mark == m.dfsMark {
+		return false
+	}
+	t.mark = m.dfsMark
+	base := len(m.dfsEdges)
+	m.waitsFor(t)
+	end := len(m.dfsEdges)
+	for i := base; i < end; i++ {
+		next := m.dfsEdges[i]
+		if next == target {
+			return true
+		}
+		ns, ok := m.txns[next]
+		if !ok {
+			continue
+		}
+		if m.dfs(ns, target) {
+			return true
+		}
+	}
+	m.dfsEdges = m.dfsEdges[:base]
+	return false
 }
 
 // Release drops every lock held by txn (commit or abort under strict
@@ -412,26 +517,29 @@ func (m *Manager) Release(txn TxnID) {
 	// Cancel a pending request.
 	if st.waiting != nil {
 		if l := m.locks[st.waiting.key]; l != nil {
-			for i, r := range l.queue {
-				if r == st.waiting {
-					l.queue = append(l.queue[:i], l.queue[i+1:]...)
-					break
-				}
+			if i := slices.Index(l.queue, st.waiting); i >= 0 {
+				l.queue = slices.Delete(l.queue, i, i+1)
+				m.freeRequest(st.waiting)
 			}
 		}
 		st.waiting = nil
 	}
-	for key := range st.held {
-		l := m.locks[key]
+	for _, h := range st.held {
+		l := m.locks[h.key]
 		if l == nil {
 			continue
 		}
-		delete(l.holders, txn)
-		m.grantWaiters(key, l)
+		if i := l.holderIdx(txn); i >= 0 {
+			l.holders = slices.Delete(l.holders, i, i+1)
+		}
+		m.grantWaiters(h.key, l)
 		if len(l.holders) == 0 && len(l.queue) == 0 {
-			delete(m.locks, key)
+			delete(m.locks, h.key)
+			m.freeLocks = append(m.freeLocks, l)
 		}
 	}
+	st.held = st.held[:0]
+	m.freeTxns = append(m.freeTxns, st)
 }
 
 // grantWaiters grants from the queue head while compatible.
@@ -441,34 +549,44 @@ func (m *Manager) grantWaiters(key uint64, l *lock) {
 		hs, ok := m.txns[head.txn]
 		if !ok {
 			// Stale request from a released txn.
-			l.queue = l.queue[1:]
+			m.popHead(l)
 			continue
 		}
 		if head.upgrade {
 			// Grantable only when head.txn is the sole remaining holder.
-			if len(l.holders) == 1 {
-				if _, isHolder := l.holders[head.txn]; isHolder {
-					l.queue = l.queue[1:]
-					l.holders[head.txn] = X
-					hs.held[key] = X
-					hs.waiting = nil
-					m.stats.Grants++
-					head.onGrant()
-					continue
+			if len(l.holders) == 1 && l.holders[0].txn == head.txn {
+				l.holders[0].mode = X
+				if hi := hs.heldIdx(key); hi >= 0 {
+					hs.held[hi].mode = X
 				}
+				hs.waiting = nil
+				m.stats.Grants++
+				onGrant := head.onGrant
+				m.popHead(l)
+				onGrant()
+				continue
 			}
 			return
 		}
 		if !m.grantable(l, head.mode) {
 			return
 		}
-		l.queue = l.queue[1:]
-		l.holders[head.txn] = head.mode
-		hs.held[key] = head.mode
+		l.holders = append(l.holders, holder{head.txn, head.mode})
+		hs.held = append(hs.held, heldLock{key, head.mode})
 		hs.waiting = nil
 		m.stats.Grants++
-		head.onGrant()
+		onGrant := head.onGrant
+		m.popHead(l)
+		onGrant()
 	}
+}
+
+// popHead removes l's head request and retires it; callers read what
+// they need from the record first.
+func (m *Manager) popHead(l *lock) {
+	head := l.queue[0]
+	l.queue = slices.Delete(l.queue, 0, 1)
+	m.freeRequest(head)
 }
 
 // QueueLength returns the wait-queue length at key (0 if unknown).

@@ -368,8 +368,8 @@ func TestNoTwoXHoldersInvariant(t *testing.T) {
 				continue
 			}
 			xCount, sCount := 0, 0
-			for _, mode := range l.holders {
-				if mode == X {
+			for _, h := range l.holders {
+				if h.mode == X {
 					xCount++
 				} else {
 					sCount++

@@ -151,6 +151,9 @@ type Generator struct {
 	pattern  bufferpool.AccessPattern
 	missEst  float64
 	coldSeq  uint64
+	// keys is scratch for one profile's lock keys (sorted under
+	// CanonicalKeyOrder before they are copied into the ops).
+	keys []uint64
 	// mix, when non-nil, replaces the two-class HighFrac tagging with
 	// an N-tenant arrival mix (see SetMix / TenantMix in tenant.go).
 	mix     []TenantMix
@@ -206,7 +209,10 @@ func (g *Generator) NextWithClass(class lockmgr.Class) dbms.TxnProfile {
 	}
 	tt := g.Spec.Types[ti]
 	ops := make([]dbms.Op, tt.Ops)
-	keys := make([]uint64, tt.Ops)
+	keys := slices.Grow(g.keys[:0], tt.Ops)[:tt.Ops]
+	g.keys = keys
+	// One page slab per profile; each op gets a capacity-capped window.
+	slab := make([]uint64, tt.Ops*tt.PagesPerOp)
 	demand := 0.0
 	for i := range ops {
 		if g.rng.Float64() < tt.HotKeyProb && g.Spec.HotLockKeys > 0 {
@@ -217,7 +223,7 @@ func (g *Generator) NextWithClass(class lockmgr.Class) dbms.TxnProfile {
 			g.coldSeq++
 			keys[i] = 1<<32 + g.coldSeq
 		}
-		pages := make([]uint64, tt.PagesPerOp)
+		pages := slab[i*tt.PagesPerOp : (i+1)*tt.PagesPerOp : (i+1)*tt.PagesPerOp]
 		for p := range pages {
 			pages[p] = g.pattern.Sample(g.rng)
 		}
