@@ -8,7 +8,8 @@
 // (a committed transaction through the device models, and one
 // uncontended lock acquire/release), and the
 // deterministic summary numbers of the fig7, dispatch, slo, churn,
-// autoscale and fairness figures — and compares
+// autoscale, fairness, fig11 (setups 1/3/5), POW-ablation,
+// policy-comparison and internal-vs-external figures — and compares
 // them against the committed BENCH_baseline.json with per-metric
 // tolerances. Any regression exits nonzero, which is what lets CI
 // refuse a PR that slows a hot path or silently changes a figure.
@@ -469,6 +470,26 @@ func measure() ([]Metric, error) {
 		return nil, err
 	}
 	addFigure(&out, fair)
+	fig11, err := experiments.Figure11(0.05, []int{1, 3, 5}, opts)
+	if err != nil {
+		return nil, err
+	}
+	addFigure(&out, fig11)
+	pow, err := experiments.POWAblation(opts)
+	if err != nil {
+		return nil, err
+	}
+	addFigure(&out, pow)
+	policies, err := experiments.PolicyComparison(3, 10, opts)
+	if err != nil {
+		return nil, err
+	}
+	addFigure(&out, policies)
+	internal, err := experiments.FigureInternal(3, opts)
+	if err != nil {
+		return nil, err
+	}
+	addFigure(&out, internal)
 	return out, nil
 }
 
