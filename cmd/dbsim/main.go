@@ -396,15 +396,13 @@ func printReport(out io.Writer, rep extsched.Report) {
 	fmt.Fprintf(out, "throughput:       %.2f txn/s\n", rep.Throughput)
 	fmt.Fprintf(out, "mean RT:          %.4f s (inside %.4f s, external wait %.4f s)\n",
 		rep.MeanRT, rep.MeanInside, rep.ExternalW)
-	fmt.Fprintf(out, "high-prio RT:     %.4f s\n", rep.HighRT)
-	fmt.Fprintf(out, "low-prio RT:      %.4f s\n", rep.LowRT)
 	fmt.Fprintf(out, "cpu util:         %.3f\n", rep.CPUUtil)
 	fmt.Fprintf(out, "disk util:        %.3f\n", rep.DiskUtil)
 	fmt.Fprintf(out, "lock waits:       %d (deadlocks %d, preemptions %d, restarts %d)\n",
 		rep.LockWaits, rep.Deadlocks, rep.Preemptions, rep.Restarts)
 	if rep.Shed > 0 || rep.Dropped > 0 {
-		fmt.Fprintf(out, "rejected:         %d shed past deadline (high %d, low %d), %d dropped\n",
-			rep.Shed, rep.ShedHigh, rep.ShedLow, rep.Dropped)
+		fmt.Fprintf(out, "rejected:         %d shed past deadline, %d dropped\n",
+			rep.Shed, rep.Dropped)
 	}
 	if rep.Failed > 0 || rep.Resubmitted > 0 || rep.Retries > 0 {
 		fmt.Fprintf(out, "shard faults:     %d txns lost, %d resubmitted (%d retries)\n",
@@ -450,8 +448,8 @@ func runScenarioFile(sys *extsched.System, path string, autoscale *extsched.Auto
 	printTenants(out, res)
 	printAutoscale(out, res.Autoscale)
 	if res.Total.Shed > 0 {
-		fmt.Fprintf(out, "shed:             %d txns past their admission deadline (high %d, low %d)\n",
-			res.Total.Shed, res.Total.ShedHigh, res.Total.ShedLow)
+		fmt.Fprintf(out, "shed:             %d txns past their admission deadline\n",
+			res.Total.Shed)
 	}
 	printShards(out, res.Shards, fleetUp(res))
 	fmt.Fprintf(out, "final mpl:        %d\n", res.FinalMPL)

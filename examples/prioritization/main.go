@@ -33,11 +33,12 @@ func main() {
 	fmt.Printf("%-34s %10s %10s %10s\n", "configuration", "high RT", "low RT", "low/high")
 
 	show := func(name string, r extsched.Report) {
+		high, low := r.Class(1).MeanRT, r.Class(0).MeanRT
 		diff := 0.0
-		if r.HighRT > 0 {
-			diff = r.LowRT / r.HighRT
+		if high > 0 {
+			diff = low / high
 		}
-		fmt.Printf("%-34s %9.3fs %9.3fs %9.1fx\n", name, r.HighRT, r.LowRT, diff)
+		fmt.Printf("%-34s %9.3fs %9.3fs %9.1fx\n", name, high, low, diff)
 	}
 
 	// Baseline: no scheduling at all — both classes see the same RT.

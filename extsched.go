@@ -492,8 +492,6 @@ type Report struct {
 	Completed     uint64
 	Throughput    float64 // transactions/second
 	MeanRT        float64 // overall mean response time (s)
-	HighRT        float64 // high-priority class mean RT (s)
-	LowRT         float64 // low-priority class mean RT (s)
 	MeanInside    float64 // mean time inside the DBMS (s)
 	ExternalW     float64 // mean external queue wait (s)
 	Restarts      uint64  // abort/restart cycles observed
@@ -505,8 +503,6 @@ type Report struct {
 	Preemptions   uint64
 	Dropped       uint64  // admission-control rejections (QueueLimit mode)
 	Shed          uint64  // deadline-missed rejections (AdmitDeadline mode)
-	ShedHigh      uint64  // high-class share of Shed
-	ShedLow       uint64  // low-class share of Shed
 	Failed        uint64  // txns terminally lost to shard failures
 	Resubmitted   uint64  // logical txns re-routed to a survivor at least once
 	Retries       uint64  // resubmission events (one txn can retry several times)

@@ -2,6 +2,8 @@ package gate
 
 import (
 	"context"
+	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -324,50 +326,116 @@ func TestConcurrentCancellationStorm(t *testing.T) {
 }
 
 // TestAutoTuneConvergesToCapacity drives the gate over a resource with
-// hard capacity 4 (an inner worker pool) and checks the feedback
-// controller walks the limit down to that capacity — the paper's
-// convergence claim under real concurrent load and a wall clock.
+// hard capacity 4 and checks the feedback controller walks the limit
+// down to that capacity — the paper's convergence claim under real
+// concurrent Acquire/Release traffic. Time is virtual: 32 client
+// goroutines block in Acquire as they would in production, but the
+// guarded resource is a discrete-event model (capacity slots, a fixed
+// hold each, FIFO wait), and the gate reads the model's clock. The
+// model advances only once every client is parked — queued in the gate
+// or holding a ticket inside the resource — so one client moves at a
+// time and the run does not depend on host speed or load.
 func TestAutoTuneConvergesToCapacity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second wall-clock convergence test")
-	}
-	const capacity = 4
-	const hold = time.Millisecond
-	// Start unlimited: the no-limit run both measures the reference
-	// throughput (sleep overshoot and scheduler noise included, which a
-	// nominal capacity/hold computation would miss) and mirrors the
-	// documented tuning workflow.
-	g, err := New(Config{})
+	const (
+		capacity = 4
+		hold     = 0.001 // seconds of virtual time per unit of work
+		clients  = 32
+	)
+	eng := sim.NewEngine()
+	ck := &virtualClock{}
+	// Start unlimited: the no-limit run measures the reference
+	// throughput, mirroring the documented tuning workflow.
+	g, err := New(Config{clock: ck})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := make(chan struct{}, capacity)
+
+	// Each client announces a granted ticket on start, then waits on
+	// its own done channel until the resource has held it.
+	start := make(chan chan struct{})
 	stop := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
-	for w := 0; w < 32; w++ {
+	for w := 0; w < clients; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			done := make(chan struct{})
 			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				tk, err := g.Acquire(context.Background())
+				tk, err := g.Acquire(ctx)
 				if err != nil {
 					return
 				}
-				pool <- struct{}{} // hard capacity of the guarded resource
-				time.Sleep(hold)
-				<-pool
+				select {
+				case start <- done:
+				case <-stop:
+					return
+				}
+				select {
+				case <-done:
+				case <-stop:
+					return
+				}
 				tk.Release(Result{})
 			}
 		}()
 	}
-	time.Sleep(200 * time.Millisecond) // warm up
+
+	// The resource model, touched only by this goroutine. inside
+	// counts clients holding a ticket in the resource, busy or waiting
+	// for a slot.
+	var (
+		busy, inside int
+		waiting      []chan struct{}
+		finish       func(done chan struct{})
+	)
+	occupy := func(done chan struct{}) {
+		busy++
+		eng.After(hold, func() { finish(done) })
+	}
+	// settle parks the model until every client is queued in the gate
+	// or inside the resource.
+	settle := func() {
+		for inside+g.Queued() < clients {
+			select {
+			case done := <-start:
+				inside++
+				if busy < capacity {
+					occupy(done)
+				} else {
+					waiting = append(waiting, done)
+				}
+			default:
+				runtime.Gosched()
+			}
+		}
+	}
+	finish = func(done chan struct{}) {
+		ck.set(eng.Now())
+		busy--
+		inside--
+		if len(waiting) > 0 {
+			next := waiting[0]
+			waiting = waiting[1:]
+			occupy(next)
+		}
+		done <- struct{}{}
+		settle()
+	}
+	run := func(d float64) {
+		eng.Run(eng.Now() + d)
+		ck.set(eng.Now())
+	}
+	defer func() {
+		cancel()
+		close(stop)
+		wg.Wait()
+	}()
+
+	settle()
+	run(0.2) // warm up
 	g.ResetStats()
-	time.Sleep(time.Second)
+	run(1)
 	reference := g.Stats().Throughput
 	if reference <= 0 {
 		t.Fatal("no reference throughput measured")
@@ -382,26 +450,29 @@ func TestAutoTuneConvergesToCapacity(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.After(30 * time.Second)
 	for !g.TuneStatus().Converged {
-		select {
-		case <-deadline:
-			close(stop)
-			wg.Wait()
-			t.Fatalf("controller did not converge in 30s: %+v stats %+v", g.TuneStatus(), g.Stats())
-		case <-time.After(50 * time.Millisecond):
+		if eng.Now() > 30 {
+			t.Fatalf("controller did not converge in 30 virtual seconds: %+v stats %+v", g.TuneStatus(), g.Stats())
 		}
+		run(0.05)
 	}
-	close(stop)
-	wg.Wait()
 	st := g.TuneStatus()
 	// The lowest feasible limit is the capacity itself (capacity-1
 	// loses 1/capacity = 25% throughput, beyond the 15% tolerance).
-	// Scheduling noise can leave the loop a few steps above.
+	// The loop may settle a few steps above it.
 	if st.Limit < capacity || st.Limit > 2*capacity {
 		t.Errorf("converged limit = %d, want in [%d,%d] (status %+v)", st.Limit, capacity, 2*capacity, st)
 	}
 }
+
+// virtualClock is a manually advanced clock that any goroutine may
+// read. It arms no timers: the autotune test uses no deadlines or
+// watchers.
+type virtualClock struct{ bits atomic.Uint64 }
+
+func (c *virtualClock) Now() float64                    { return math.Float64frombits(c.bits.Load()) }
+func (c *virtualClock) set(t float64)                   { c.bits.Store(math.Float64bits(t)) }
+func (c *virtualClock) After(float64, func()) sim.Timer { return firedTimer{} }
 
 func TestWatchStreamsSnapshots(t *testing.T) {
 	g, err := New(Config{Limit: 2})

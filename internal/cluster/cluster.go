@@ -595,8 +595,6 @@ func (d *Dispatcher) Metrics() core.Metrics {
 		out.Completed += m.Completed
 		out.Restarts += m.Restarts
 		out.All.Merge(&m.All)
-		out.High.Merge(&m.High)
-		out.Low.Merge(&m.Low)
 		out.Inside.Merge(&m.Inside)
 		out.ExtWait.Merge(&m.ExtWait)
 		if len(m.Classes) > 0 {

@@ -243,10 +243,7 @@ func (c *SLOController) Observe() {
 	if int(m.Completed) < c.cfg.MinObservations {
 		return
 	}
-	sloSeen := m.High.Count()
-	if c.cfg.Target.Class != core.ClassHigh {
-		sloSeen = m.Low.Count()
-	}
+	sloSeen := m.ClassMetric(c.cfg.Target.Class).Completed()
 	minSLO := c.cfg.MinObservations / 10
 	if minSLO < 5 {
 		minSLO = 5

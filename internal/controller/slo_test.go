@@ -38,12 +38,12 @@ func (g *fakeClassGate) ClassResponseTimePercentile(c core.Class, p float64) flo
 // completions (60 total, 12 high) at the given measured percentile.
 func (g *fakeClassGate) window(p float64) {
 	g.percentile = p
-	g.m = core.Metrics{Completed: 60}
+	g.m = core.Metrics{Completed: 60, Classes: []core.ClassMetric{{Class: core.ClassLow}, {Class: core.ClassHigh}}}
 	for i := 0; i < 12; i++ {
-		g.m.High.Add(p)
+		g.m.Classes[1].RT.Add(p)
 	}
 	for i := 0; i < 48; i++ {
-		g.m.Low.Add(p)
+		g.m.Classes[0].RT.Add(p)
 	}
 }
 
@@ -180,5 +180,45 @@ func TestSLOControllerValidation(t *testing.T) {
 		Target: SLOTarget{Class: core.ClassHigh, Target: 1},
 	}); err == nil {
 		t.Error("MPL 1 accepted for a two-sided partition")
+	}
+}
+
+// execBackend parks every dispatched item for the test to complete.
+type execBackend struct{ items []*core.Item }
+
+func (b *execBackend) Exec(it *core.Item) { b.items = append(b.items, it) }
+
+// TestSLOWindowCountsTargetClassOnly drives the loop on a real
+// frontend with three tenant classes: completions of other classes
+// fill the window's overall count but not the SLO class's own, so the
+// loop must keep waiting rather than react on a class-0 window that
+// holds only two class-0 samples.
+func TestSLOWindowCountsTargetClassOnly(t *testing.T) {
+	eng := sim.NewEngine()
+	be := &execBackend{}
+	fe := core.New(eng.Clock(), be, 8, nil)
+	fe.EnablePercentiles(64, 1)
+	c, err := NewSLO(eng.Clock(), fe, SLOConfig{
+		Target:          SLOTarget{Class: core.ClassLow, Target: 1.0},
+		MinObservations: 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	complete := func(class core.Class, n int) {
+		for i := 0; i < n; i++ {
+			fe.Submit(&core.Item{Class: class}, nil)
+			it := be.items[len(be.items)-1]
+			fe.Complete(it, core.Outcome{})
+		}
+	}
+	complete(0, 2)
+	complete(2, 30)
+	c.Observe()
+	if m := fe.Metrics(); m.Completed != 32 {
+		t.Fatalf("window reset: completed = %d, want 32", m.Completed)
+	}
+	if n := c.Iterations(); n != 0 {
+		t.Fatalf("loop reacted %d times on a window with 2 SLO-class completions", n)
 	}
 }

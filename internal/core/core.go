@@ -45,7 +45,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -54,9 +56,9 @@ import (
 )
 
 // Class is a small-integer priority class. ClassHigh receives strict
-// preference under PriorityPolicy and separate metrics accounting;
-// every other value is treated as "low". WFQ accepts arbitrary Class
-// values, one virtual queue per distinct class.
+// preference under PriorityPolicy; every other value is treated as
+// "low". WFQ accepts arbitrary Class values, one virtual queue per
+// distinct class.
 type Class int
 
 const (
@@ -406,17 +408,14 @@ func sjfLess(a, b *Item) bool {
 type Metrics struct {
 	Completed uint64
 	All       stats.Accumulator // response time, all classes
-	High      stats.Accumulator // response time, high class
-	Low       stats.Accumulator // response time, low class
 	Inside    stats.Accumulator // time inside the backend
 	ExtWait   stats.Accumulator // external queue wait
 	Restarts  uint64
-	// Classes carries one response-time accumulator per class that
-	// completed anything in the window, in ascending class-ID order —
-	// the N-tenant generalization of the High/Low pair above (which is
-	// kept so the historical two-class figures stay bit-identical).
-	// Exotic classes (outside the fast-path tracked range) appear here
-	// too; historically they were lumped into Low.
+	// Classes carries one response-time accumulator per class seen
+	// since the metrics were created, in ascending class-ID order, for
+	// any class ID (exotic ones outside the fast-path tracked range
+	// included). A reset keeps the entries and zeroes them, so a class
+	// idle in the window shows up with a zero count.
 	Classes    []ClassMetric
 	resetTime  float64
 	windowTime float64
@@ -435,46 +434,75 @@ type ClassMetric struct {
 // count).
 func (m ClassMetric) Completed() uint64 { return uint64(m.RT.Count()) }
 
+// Mean returns the class's mean response time (0 when it completed
+// nothing).
+func (m ClassMetric) Mean() float64 { return m.RT.Mean() }
+
 // ClassMetric finds class c's entry in Classes (zero value when the
 // class completed nothing in the window).
 func (m Metrics) ClassMetric(c Class) ClassMetric {
-	for _, cm := range m.Classes {
-		if cm.Class == c {
-			return cm
-		}
+	if i, ok := m.classIndex(c); ok {
+		return m.Classes[i]
 	}
 	return ClassMetric{Class: c}
+}
+
+// classIndex binary-searches Classes for c: its index, or the index
+// where it would be inserted.
+func (m *Metrics) classIndex(c Class) (int, bool) {
+	return slices.BinarySearchFunc(m.Classes, c, func(cm ClassMetric, c Class) int {
+		return cmp.Compare(cm.Class, c)
+	})
+}
+
+// classRT returns class c's response-time accumulator, inserting a
+// zero entry in class-ID order the first time c is seen.
+func (m *Metrics) classRT(c Class) *stats.Accumulator {
+	i, ok := m.classIndex(c)
+	if !ok {
+		m.Classes = slices.Insert(m.Classes, i, ClassMetric{Class: c})
+	}
+	return &m.Classes[i].RT
+}
+
+// Observe records one completed item: its response time (overall and
+// per class), its time inside the backend, its external wait and its
+// restarts. It is the one place a completion is accounted, for the
+// frontend's window and for every scope a scenario run keeps. The item
+// must carry its Outcome. Allocation-free once the item's class has
+// been seen.
+func (m *Metrics) Observe(it *Item) {
+	rt := it.ResponseTime()
+	m.Completed++
+	m.All.Add(rt)
+	m.classRT(it.Class).Add(rt)
+	m.Inside.Add(it.Outcome.InsideTime)
+	m.ExtWait.Add(it.ExternalWait())
+	m.Restarts += uint64(it.Outcome.Restarts)
+}
+
+// Reset zeroes the window, window length included, but keeps the
+// per-class entries (with zeroed accumulators) and their storage, so a
+// scope that is reset every interval allocates nothing.
+func (m *Metrics) Reset() {
+	classes := m.Classes
+	for i := range classes {
+		classes[i].RT.Reset()
+	}
+	*m = Metrics{Classes: classes}
 }
 
 // MergeClassMetrics merges per-class accumulators from several Metrics
 // windows (e.g. the shards of a cluster) into one ascending-class-ID
 // slice — the per-class analogue of merging the All accumulators.
 func MergeClassMetrics(windows ...[]ClassMetric) []ClassMetric {
-	var out []ClassMetric
+	var out Metrics
 	for _, w := range windows {
-		for _, cm := range w {
-			idx := -1
-			for i := range out {
-				if out[i].Class == cm.Class {
-					idx = i
-					break
-				}
-			}
-			if idx < 0 {
-				// Insert sorted by class ID.
-				i := 0
-				for i < len(out) && out[i].Class < cm.Class {
-					i++
-				}
-				out = append(out, ClassMetric{})
-				copy(out[i+1:], out[i:])
-				out[i] = cm
-				continue
-			}
-			out[idx].RT.Merge(&cm.RT)
+		for i := range w {
+			out.classRT(w[i].Class).Merge(&w[i].RT)
 		}
 	}
-	return out
+	return out.Classes
 }
 
 // WithWindow returns a copy of m whose Throughput is computed over the
@@ -615,12 +643,6 @@ type Frontend struct {
 	rtClass  map[Class]*stats.Reservoir
 	rtCap    int
 	rtSeed   uint64
-	// classAcc accumulates response times per class (any class ID, not
-	// just the tracked range — this is where exotic classes get correct
-	// accounting instead of being lumped into Low). Guarded by
-	// metricsMu; entries are inserted once per class, so the completion
-	// fast path stays allocation-free in steady state.
-	classAcc map[Class]*stats.Accumulator
 	// tenantMu guards the tenant registry, which is append-only:
 	// RegisterClass hands out sequential class IDs.
 	tenantMu sync.Mutex
@@ -973,19 +995,7 @@ func (f *Frontend) Metrics() Metrics {
 	defer f.metricsMu.Unlock()
 	m := f.metrics
 	m.windowTime = f.clock.Now() - f.metrics.resetTime
-	if len(f.classAcc) > 0 {
-		m.Classes = make([]ClassMetric, 0, len(f.classAcc))
-		for c, acc := range f.classAcc {
-			cm := ClassMetric{Class: c, RT: *acc}
-			i := 0
-			for i < len(m.Classes) && m.Classes[i].Class < c {
-				i++
-			}
-			m.Classes = append(m.Classes, ClassMetric{})
-			copy(m.Classes[i+1:], m.Classes[i:])
-			m.Classes[i] = cm
-		}
-	}
+	m.Classes = slices.Clone(m.Classes)
 	return m
 }
 
@@ -994,15 +1004,13 @@ func (f *Frontend) Metrics() Metrics {
 func (f *Frontend) ResetMetrics() {
 	f.metricsMu.Lock()
 	defer f.metricsMu.Unlock()
-	f.metrics = Metrics{resetTime: f.clock.Now()}
+	f.metrics.Reset()
+	f.metrics.resetTime = f.clock.Now()
 	if f.rtSample != nil {
 		f.rtSample.Reset()
 	}
 	for _, r := range f.rtClass {
 		r.Reset()
-	}
-	for _, acc := range f.classAcc {
-		acc.Reset()
 	}
 }
 
@@ -1584,7 +1592,7 @@ func (f *Frontend) Complete(it *Item, o Outcome) {
 				it.Complete = f.clock.Now()
 				it.Outcome = o
 				f.classInside[c].Add(-1)
-				f.finishCompletion(it, o)
+				f.finishCompletion(it)
 				return
 			}
 		}
@@ -1600,7 +1608,7 @@ func (f *Frontend) Complete(it *Item, o Outcome) {
 	f.releaseSlot()
 	f.decClassLocked(it.Class)
 	f.mu.Unlock()
-	f.finishCompletion(it, o)
+	f.finishCompletion(it)
 	f.dispatch()
 }
 
@@ -1608,30 +1616,11 @@ func (f *Frontend) Complete(it *Item, o Outcome) {
 // delivers its callbacks. Shared by the fast and slow completion
 // paths; called WITHOUT f.mu held (metricsMu is taken here, and the
 // hooks may re-enter the frontend).
-func (f *Frontend) finishCompletion(it *Item, o Outcome) {
-	rt := it.ResponseTime()
+func (f *Frontend) finishCompletion(it *Item) {
 	f.metricsMu.Lock()
-	m := &f.metrics
-	m.Completed++
-	m.All.Add(rt)
-	if it.Class == ClassHigh {
-		m.High.Add(rt)
-	} else {
-		m.Low.Add(rt)
-	}
-	acc := f.classAcc[it.Class]
-	if acc == nil {
-		if f.classAcc == nil {
-			f.classAcc = make(map[Class]*stats.Accumulator)
-		}
-		acc = &stats.Accumulator{}
-		f.classAcc[it.Class] = acc
-	}
-	acc.Add(rt)
-	m.Inside.Add(o.InsideTime)
-	m.ExtWait.Add(it.ExternalWait())
-	m.Restarts += uint64(o.Restarts)
+	f.metrics.Observe(it)
 	if f.rtSample != nil {
+		rt := it.ResponseTime()
 		f.rtSample.Add(rt)
 		f.classReservoirLocked(it.Class).Add(rt)
 	}

@@ -3,15 +3,15 @@ package core
 import (
 	"math"
 	"testing"
+
+	"extsched/internal/sim"
 )
 
 // TestExoticClassAccounting pins the bugfix for classes outside the
 // fast-path tracked range [0, trackedClasses): they always take the
 // slow path, and their completions must land in their own per-class
-// accumulator (historically they were lumped into the legacy Low
-// bucket with no per-class record at all). Conservation is checked per
-// class: everything submitted is either completed or shed, under its
-// own class ID.
+// accumulator. Conservation is checked per class: everything
+// submitted is either completed or shed, under its own class ID.
 func TestExoticClassAccounting(t *testing.T) {
 	eng, fe := rig(t, 2, nil)
 	classes := []Class{8, 200}
@@ -47,11 +47,6 @@ func TestExoticClassAccounting(t *testing.T) {
 		if m.Classes[i-1].Class >= m.Classes[i].Class {
 			t.Fatalf("Classes not sorted: %v >= %v", m.Classes[i-1].Class, m.Classes[i].Class)
 		}
-	}
-	// The legacy two-class vocabulary still lumps exotics into Low —
-	// kept deliberately so old figures stay bit-identical.
-	if m.Low.Count() != 2*perClass+1 {
-		t.Errorf("legacy low count = %d, want %d", m.Low.Count(), 2*perClass+1)
 	}
 }
 
@@ -169,5 +164,63 @@ func TestMergeClassMetrics(t *testing.T) {
 	}
 	if math.Abs(out[2].RT.Mean()-20) > 1e-9 {
 		t.Errorf("class 5 merged mean = %v, want 20", out[2].RT.Mean())
+	}
+}
+
+// TestClassMetricsStorage pins the per-class window storage: sorted by
+// class ID whatever the arrival order, allocation-free once every
+// class has been seen, copied out by Metrics, and kept (zeroed) across
+// ResetMetrics.
+func TestClassMetricsStorage(t *testing.T) {
+	eng := sim.NewEngine()
+	fe := New(eng.Clock(), backendFunc(func(*Item) {}), 0, NewFIFO())
+	classes := []Class{200, 5, 0, 1}
+	items := make([]*Item, len(classes))
+	for i, c := range classes {
+		items[i] = &Item{Class: c}
+	}
+	i := 0
+	completeNext := func() {
+		it := items[i%len(items)]
+		i++
+		if !fe.Submit(it, nil) {
+			t.Fatal("Submit failed on an unlimited gate")
+		}
+		fe.Complete(it, Outcome{})
+	}
+	for range classes {
+		completeNext()
+	}
+	if n := testing.AllocsPerRun(100, completeNext); n != 0 {
+		t.Errorf("completion allocates %v/op after warm-up, want 0", n)
+	}
+
+	m := fe.Metrics()
+	want := []Class{0, 1, 5, 200}
+	if len(m.Classes) != len(want) {
+		t.Fatalf("Classes has %d entries, want %d", len(m.Classes), len(want))
+	}
+	for j, c := range want {
+		if m.Classes[j].Class != c {
+			t.Fatalf("Classes[%d] = class %d, want %d (ascending)", j, m.Classes[j].Class, c)
+		}
+	}
+
+	completed := m.Classes[0].Completed()
+	m.Classes[0].RT.Add(1e9)
+	m.Classes = m.Classes[:1]
+	if again := fe.Metrics(); len(again.Classes) != len(want) || again.Classes[0].Completed() != completed {
+		t.Fatalf("editing a returned Classes slice leaked into the window: %+v", again.Classes)
+	}
+
+	fe.ResetMetrics()
+	m = fe.Metrics()
+	if len(m.Classes) != len(want) {
+		t.Fatalf("ResetMetrics dropped class entries: %d left, want %d", len(m.Classes), len(want))
+	}
+	for _, cm := range m.Classes {
+		if cm.Completed() != 0 || cm.Mean() != 0 {
+			t.Errorf("class %d after reset: completed %d mean %v, want zero", cm.Class, cm.Completed(), cm.Mean())
+		}
 	}
 }

@@ -83,9 +83,9 @@ func POWAblation(opts RunOpts) (*Figure, error) {
 	for i, r := range results {
 		x := float64(i)
 		high.X = append(high.X, x)
-		high.Y = append(high.Y, r.Metrics.High.Mean())
+		high.Y = append(high.Y, r.Metrics.ClassMetric(core.ClassHigh).Mean())
 		low.X = append(low.X, x)
-		low.Y = append(low.Y, r.Metrics.Low.Mean())
+		low.Y = append(low.Y, r.Metrics.ClassMetric(core.ClassLow).Mean())
 		preempt.X = append(preempt.X, x)
 		preempt.Y = append(preempt.Y, float64(r.Lock.Preemptions))
 		f.Notes = append(f.Notes, fmt.Sprintf("x=%d: %s", i, variants[i].name))
@@ -130,7 +130,7 @@ func PolicyComparison(setupID, mpl int, opts RunOpts) (*Figure, error) {
 		mean.X = append(mean.X, x)
 		mean.Y = append(mean.Y, r.MeanRT())
 		high.X = append(high.X, x)
-		high.Y = append(high.Y, r.Metrics.High.Mean())
+		high.Y = append(high.Y, r.Metrics.ClassMetric(core.ClassHigh).Mean())
 		tput.X = append(tput.X, x)
 		tput.Y = append(tput.Y, r.Throughput())
 		f.Notes = append(f.Notes, fmt.Sprintf("x=%d: %s", i, policies[i].name))

@@ -126,8 +126,8 @@ func RunPrioritization(setupID int, lossFrac float64, opts RunOpts) (Prioritizat
 	return PrioritizationResult{
 		SetupID:  setupID,
 		MPL:      mpl,
-		HighRT:   prio.Metrics.High.Mean(),
-		LowRT:    prio.Metrics.Low.Mean(),
+		HighRT:   prio.Metrics.ClassMetric(core.ClassHigh).Mean(),
+		LowRT:    prio.Metrics.ClassMetric(core.ClassLow).Mean(),
 		NoPrioRT: base.MeanRT(),
 		AllRT:    prio.MeanRT(),
 		Baseline: base.Throughput(),
@@ -239,8 +239,8 @@ func CompareInternalExternal(setupID int, opts RunOpts) ([]InternalComparison, e
 			}
 			return InternalComparison{
 				Variant: "internal",
-				HighRT:  internal.Metrics.High.Mean(),
-				LowRT:   internal.Metrics.Low.Mean(),
+				HighRT:  internal.Metrics.ClassMetric(core.ClassHigh).Mean(),
+				LowRT:   internal.Metrics.ClassMetric(core.ClassLow).Mean(),
 				MeanRT:  internal.MeanRT(),
 			}, nil
 		}
@@ -255,8 +255,8 @@ func CompareInternalExternal(setupID int, opts RunOpts) ([]InternalComparison, e
 		}
 		return InternalComparison{
 			Variant: v.name,
-			HighRT:  r.Metrics.High.Mean(),
-			LowRT:   r.Metrics.Low.Mean(),
+			HighRT:  r.Metrics.ClassMetric(core.ClassHigh).Mean(),
+			LowRT:   r.Metrics.ClassMetric(core.ClassLow).Mean(),
 			MeanRT:  r.MeanRT(),
 			MPL:     mpl,
 		}, nil

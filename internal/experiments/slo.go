@@ -86,7 +86,7 @@ func SLOFigure(setupID int, targetP95 float64, opts RunOpts) (*Figure, error) {
 		o.out = out
 		o.highP95 = out.Total.Class(core.ClassHigh).P95
 		if w := out.Total.Window; w > 0 {
-			o.lowTput = float64(out.Total.Low.Count()) / w
+			o.lowTput = float64(out.Total.Class(core.ClassLow).Completed) / w
 		}
 		o.shed = out.Total.Shed
 		return o, nil

@@ -372,24 +372,3 @@ func MinMPLForResponseTime(lambda float64, job dist.H2, tolerance float64, maxMP
 	}
 	return lo, nil
 }
-
-// MinMPLForResponseTimeLinear is the O(maxMPL) scan used to validate
-// the binary search (and the monotonicity assumption) in tests.
-func MinMPLForResponseTimeLinear(lambda float64, job dist.H2, tolerance float64, maxMPL int) (int, error) {
-	rho := lambda * job.Mean()
-	if rho >= 1 {
-		return 0, fmt.Errorf("qbd: unstable system, rho = %v", rho)
-	}
-	psRT := job.Mean() / (1 - rho)
-	target := psRT * (1 + tolerance)
-	for mpl := 1; mpl <= maxMPL; mpl++ {
-		sol, err := Solve(Model{Lambda: lambda, Job: job, MPL: mpl})
-		if err != nil {
-			return 0, err
-		}
-		if sol.MeanRT <= target {
-			return mpl, nil
-		}
-	}
-	return maxMPL + 1, nil
-}

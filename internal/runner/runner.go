@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"extsched/internal/autoscale"
@@ -114,16 +115,16 @@ type Report struct {
 	Window float64
 	// Completed counts completions inside the window.
 	Completed uint64
-	// All/High/Low accumulate response times (external queueing
-	// included); Inside the time within the backend; ExtWait the
-	// external queueing portion.
-	All, High, Low, Inside, ExtWait stats.Accumulator
+	// All accumulates response times (external queueing included);
+	// Inside the time within the backend; ExtWait the external
+	// queueing portion.
+	All, Inside, ExtWait stats.Accumulator
 	// Restarts counts abort/restart cycles; Dropped admission-control
 	// rejections.
 	Restarts, Dropped uint64
-	// Shed counts deadline-missed rejections in the window; ShedHigh is
-	// the high class's share and ShedLow everything else.
-	Shed, ShedHigh, ShedLow uint64
+	// Shed counts deadline-missed rejections in the window; Classes
+	// splits it per class.
+	Shed uint64
 	// Failed counts transactions terminally lost to shard failures in
 	// the window; Resubmitted counts logical txns re-routed to a
 	// survivor at least once; Retries counts resubmission events.
@@ -139,6 +140,9 @@ type Report struct {
 	// class-ID order: one entry for every class that completed or shed
 	// work. Per-class tails (the SLO signal) live here.
 	Classes []ClassReport
+	// classRT holds the window's per-class response-time accumulators
+	// for CoreMetrics.
+	classRT []core.ClassMetric
 }
 
 // Class returns class c's entry in Classes (the zero entry when the
@@ -167,16 +171,16 @@ func (r Report) Throughput() float64 {
 	return float64(r.Completed) / r.Window
 }
 
-// CoreMetrics converts the report to the core.Metrics vocabulary.
+// CoreMetrics converts the report to the core.Metrics vocabulary,
+// per-class accumulators included.
 func (r Report) CoreMetrics() core.Metrics {
 	return core.Metrics{
 		Completed: r.Completed,
 		All:       r.All,
-		High:      r.High,
-		Low:       r.Low,
 		Inside:    r.Inside,
 		ExtWait:   r.ExtWait,
 		Restarts:  r.Restarts,
+		Classes:   r.classRT,
 	}.WithWindow(r.Window)
 }
 
@@ -361,50 +365,6 @@ func utilDelta(aBusy, bBusy, at, bt float64) float64 {
 	return (bBusy - aBusy) / (bt - at)
 }
 
-// acc accumulates completions for one window scope.
-type acc struct {
-	completed                       uint64
-	all, high, low, inside, extwait stats.Accumulator
-	restarts                        uint64
-	// classes accumulates response times per tenant class (lazily: nil
-	// until the first completion, one entry per distinct class seen).
-	classes map[core.Class]*stats.Accumulator
-}
-
-func (a *acc) observe(t *dbfe.Txn) {
-	a.completed++
-	rt := t.Item.ResponseTime()
-	a.all.Add(rt)
-	if t.Item.Class == core.ClassHigh {
-		a.high.Add(rt)
-	} else {
-		a.low.Add(rt)
-	}
-	ca := a.classes[t.Item.Class]
-	if ca == nil {
-		if a.classes == nil {
-			a.classes = make(map[core.Class]*stats.Accumulator)
-		}
-		ca = &stats.Accumulator{}
-		a.classes[t.Item.Class] = ca
-	}
-	ca.Add(rt)
-	a.inside.Add(t.Item.Outcome.InsideTime)
-	a.extwait.Add(t.Item.ExternalWait())
-	a.restarts += uint64(t.Item.Outcome.Restarts)
-}
-
-func (a *acc) reset() {
-	classes := a.classes
-	*a = acc{}
-	// Keep the map (reset in place) so steady-state windows allocate
-	// nothing per interval.
-	for _, ca := range classes {
-		ca.Reset()
-	}
-	a.classes = classes
-}
-
 // className resolves a class's display name: the stack's explicit map
 // first, then the unsharded frontend's tenant registry.
 func className(st Stack, c core.Class) string {
@@ -421,36 +381,32 @@ func className(st Stack, c core.Class) string {
 // class that completed or shed work between the marks, ascending.
 // resClass, when non-nil, supplies run-so-far per-class percentiles.
 // Above limit classes (when limit > 0) the breakdown is elided.
-func classReports(st Stack, a *acc, from, to mark, resClass map[core.Class]*stats.Reservoir, limit int) []ClassReport {
-	ids := make(map[core.Class]struct{}, len(a.classes))
-	for c, ca := range a.classes {
-		if ca.Count() > 0 {
-			ids[c] = struct{}{}
+func classReports(st Stack, m *core.Metrics, from, to mark, resClass map[core.Class]*stats.Reservoir, limit int) []ClassReport {
+	var classes []core.Class
+	for _, cm := range m.Classes {
+		if cm.RT.Count() > 0 {
+			classes = append(classes, cm.Class)
 		}
 	}
 	for c, n := range to.shedClass {
 		if n > from.shedClass[c] {
-			ids[c] = struct{}{}
+			classes = append(classes, c)
 		}
 	}
-	if len(ids) == 0 || (limit > 0 && len(ids) > limit) {
+	slices.Sort(classes)
+	classes = slices.Compact(classes)
+	if len(classes) == 0 || (limit > 0 && len(classes) > limit) {
 		return nil
 	}
-	classes := make([]core.Class, 0, len(ids))
-	for c := range ids {
-		classes = append(classes, c)
-	}
-	sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
 	out := make([]ClassReport, len(classes))
 	for i, c := range classes {
+		rt := m.ClassMetric(c).RT
 		cr := ClassReport{
-			Class: int(c),
-			Name:  className(st, c),
-			Shed:  to.shedClass[c] - from.shedClass[c],
-		}
-		if ca := a.classes[c]; ca != nil {
-			cr.Completed = uint64(ca.Count())
-			cr.Mean = ca.Mean()
+			Class:     int(c),
+			Name:      className(st, c),
+			Shed:      to.shedClass[c] - from.shedClass[c],
+			Completed: uint64(rt.Count()),
+			Mean:      rt.Mean(),
 		}
 		if rv := resClass[c]; rv != nil {
 			cr.P95 = rv.Percentile(95)
@@ -460,21 +416,19 @@ func classReports(st Stack, a *acc, from, to mark, resClass map[core.Class]*stat
 	return out
 }
 
-// report assembles a Report from an accumulator scope and its marks.
-func (a *acc) report(st Stack, from mark, res *stats.Reservoir, resClass map[core.Class]*stats.Reservoir) Report {
+// report assembles a Report from a window scope and its marks.
+func report(st Stack, m *core.Metrics, from mark, res *stats.Reservoir, resClass map[core.Class]*stats.Reservoir) Report {
 	to := takeMark(st)
 	r := Report{
 		Window:      to.t - from.t,
-		Completed:   a.completed,
-		All:         a.all,
-		High:        a.high,
-		Low:         a.low,
-		Inside:      a.inside,
-		ExtWait:     a.extwait,
-		Restarts:    a.restarts,
+		Completed:   m.Completed,
+		All:         m.All,
+		Inside:      m.Inside,
+		ExtWait:     m.ExtWait,
+		Restarts:    m.Restarts,
+		classRT:     slices.Clone(m.Classes),
 		Dropped:     to.dropped - from.dropped,
 		Shed:        to.shed - from.shed,
-		ShedHigh:    to.shedClass[core.ClassHigh] - from.shedClass[core.ClassHigh],
 		LockWaits:   to.waits - from.waits,
 		Deadlocks:   to.dl - from.dl,
 		Preemptions: to.preempt - from.preempt,
@@ -484,13 +438,12 @@ func (a *acc) report(st Stack, from mark, res *stats.Reservoir, resClass map[cor
 		CPUUtil:     utilDelta(from.cpuBusy, to.cpuBusy, from.t, to.t),
 		DiskUtil:    utilDelta(from.diskBusy, to.diskBusy, from.t, to.t),
 	}
-	r.ShedLow = r.Shed - r.ShedHigh
 	if res != nil {
 		r.P50 = res.Percentile(50)
 		r.P95 = res.Percentile(95)
 		r.P99 = res.Percentile(99)
 	}
-	r.Classes = classReports(st, a, from, to, resClass, 0)
+	r.Classes = classReports(st, m, from, to, resClass, 0)
 	return r
 }
 
@@ -552,9 +505,9 @@ type run struct {
 	obs  []metrics.Observer
 
 	measuring bool
-	total     acc
-	phase     acc
-	window    acc
+	total     core.Metrics
+	phase     core.Metrics
+	window    core.Metrics
 	res       *stats.Reservoir
 	// resClass samples response times per tenant class (run-so-far) for
 	// the per-class P95 report and snapshot fields. Lazily built, one
@@ -566,7 +519,7 @@ type run struct {
 	// shardTotal / winShard split the window per shard (sharded stacks
 	// only): whole-window accumulators for Outcome.Shards, and
 	// per-interval completion counts for Snapshot.Shards.
-	shardTotal []acc
+	shardTotal []core.Metrics
 	winShard   []uint64
 	// shardP95 tracks each shard's own response-time p95 with a P²
 	// estimator — five markers per shard instead of a full reservoir,
@@ -605,17 +558,17 @@ type run struct {
 // shard is 0 for single-backend stacks.
 func (r *run) onComplete(shard int, t *dbfe.Txn) {
 	if r.measuring {
-		r.total.observe(t)
-		r.phase.observe(t)
-		r.window.observe(t)
+		r.total.Observe(&t.Item)
+		r.phase.Observe(&t.Item)
+		r.window.Observe(&t.Item)
 		if r.shardTotal != nil {
 			// A shard_add event can grow the fleet past the slices sized
 			// at run start.
 			for shard >= len(r.shardTotal) {
-				r.shardTotal = append(r.shardTotal, acc{})
+				r.shardTotal = append(r.shardTotal, core.Metrics{})
 				r.winShard = append(r.winShard, 0)
 			}
-			r.shardTotal[shard].observe(t)
+			r.shardTotal[shard].Observe(&t.Item)
 			r.winShard[shard]++
 			if r.shardP95 != nil {
 				for shard >= len(r.shardP95) {
@@ -739,7 +692,7 @@ func Run(ctx context.Context, st Stack, spec Spec, obs ...metrics.Observer) (Out
 		if err := c.SetRecovery(st.Eng, rp); err != nil {
 			return Outcome{}, err
 		}
-		r.shardTotal = make([]acc, c.NumShards())
+		r.shardTotal = make([]core.Metrics, c.NumShards())
 		r.winShard = make([]uint64, c.NumShards())
 		if st.PercentileSamples > 0 {
 			r.shardP95 = make([]*stats.P2, c.NumShards())
@@ -797,16 +750,16 @@ func Run(ctx context.Context, st Stack, spec Spec, obs ...metrics.Observer) (Out
 		out.Phases = append(out.Phases, PhaseReport{
 			Name:   ph.label(),
 			Kind:   ph.Kind,
-			Report: r.phase.report(st, r.phaseMark, nil, nil),
+			Report: report(st, &r.phase, r.phaseMark, nil, nil),
 		})
-		r.phase.reset()
+		r.phase.Reset()
 		r.phaseMark = takeMark(st)
 		if stopped {
 			break
 		}
 	}
 	r.measuring = false
-	out.Total = r.total.report(st, r.totalMark, r.res, r.resClass)
+	out.Total = report(st, &r.total, r.totalMark, r.res, r.resClass)
 	out.Shards = r.shardReports()
 	out.FinalMPL = st.Gate().MPL()
 	if r.tune != nil {
@@ -1409,14 +1362,12 @@ func (r *run) shardReports() []ShardReport {
 		sr := ShardReport{Shard: i, Speed: sh.Speed, State: c.State(i).String()}
 		sr.Report = Report{Window: to.t - from.t}
 		if i < len(r.shardTotal) {
-			a := &r.shardTotal[i]
-			sr.Completed = a.completed
-			sr.All = a.all
-			sr.High = a.high
-			sr.Low = a.low
-			sr.Inside = a.inside
-			sr.ExtWait = a.extwait
-			sr.Restarts = a.restarts
+			m := &r.shardTotal[i]
+			sr.Completed = m.Completed
+			sr.All = m.All
+			sr.Inside = m.Inside
+			sr.ExtWait = m.ExtWait
+			sr.Restarts = m.Restarts
 		}
 		if i < len(r.shardP95) && r.shardP95[i].Count() > 0 {
 			sr.P95 = r.shardP95[i].Quantile()
@@ -1517,7 +1468,7 @@ func (r *run) emitSnapshot(ph Phase) {
 	st := r.st
 	gate := st.Gate()
 	to := takeMark(st)
-	w := r.window
+	w := &r.window
 	s := metrics.Snapshot{
 		Time:         to.t,
 		Window:       to.t - r.winMark.t,
@@ -1525,11 +1476,11 @@ func (r *run) emitSnapshot(ph Phase) {
 		Limit:        gate.MPL(),
 		Inflight:     gate.Inside(),
 		Queued:       gate.QueueLen(),
-		Completed:    w.completed,
-		MeanResponse: w.all.Mean(),
-		MeanWait:     w.extwait.Mean(),
-		MeanInside:   w.inside.Mean(),
-		Restarts:     w.restarts,
+		Completed:    w.Completed,
+		MeanResponse: w.All.Mean(),
+		MeanWait:     w.ExtWait.Mean(),
+		MeanInside:   w.Inside.Mean(),
+		Restarts:     w.Restarts,
 		Dropped:      to.dropped - r.winMark.dropped,
 		Canceled:     to.canceled - r.winMark.canceled,
 		Shed:         to.shed - r.winMark.shed,
@@ -1562,6 +1513,6 @@ func (r *run) emitSnapshot(ph Phase) {
 	for _, o := range r.obs {
 		o.OnInterval(s)
 	}
-	r.window.reset()
+	r.window.Reset()
 	r.winMark = to
 }

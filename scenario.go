@@ -124,9 +124,8 @@ type (
 	AutoscaleResult = runner.AutoscaleReport
 )
 
-// ClassResult is one tenant class's slice of a Report window (the
-// N-tenant generalization of the HighRT/LowRT/ShedHigh/ShedLow
-// fields). Per-class tails, the SLO signal, live here.
+// ClassResult is one tenant class's slice of a Report window.
+// Per-class tails, the SLO signal, live here.
 type ClassResult struct {
 	// Class is the tenant's class ID (its position in the tenants
 	// block); Name its registered name ("" when unregistered).
@@ -237,8 +236,6 @@ func reportFrom(r runner.Report) Report {
 		Completed:   r.Completed,
 		Throughput:  r.Throughput(),
 		MeanRT:      r.All.Mean(),
-		HighRT:      r.High.Mean(),
-		LowRT:       r.Low.Mean(),
 		MeanInside:  r.Inside.Mean(),
 		ExternalW:   r.ExtWait.Mean(),
 		Restarts:    r.Restarts,
@@ -250,8 +247,6 @@ func reportFrom(r runner.Report) Report {
 		Preemptions: r.Preemptions,
 		Dropped:     r.Dropped,
 		Shed:        r.Shed,
-		ShedHigh:    r.ShedHigh,
-		ShedLow:     r.ShedLow,
 		Failed:      r.Failed,
 		Resubmitted: r.Resubmitted,
 		Retries:     r.Retries,

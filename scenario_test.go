@@ -172,8 +172,8 @@ func TestScenarioWFQWeightEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 	even, skewed := res.Phases[0], res.Phases[1]
-	rEven := even.LowRT / even.HighRT
-	rSkewed := skewed.LowRT / skewed.HighRT
+	rEven := even.Class(0).MeanRT / even.Class(1).MeanRT
+	rSkewed := skewed.Class(0).MeanRT / skewed.Class(1).MeanRT
 	if rSkewed <= rEven {
 		t.Errorf("raising the high-class weight should widen differentiation: %v -> %v", rEven, rSkewed)
 	}
@@ -485,11 +485,12 @@ func TestSLOScenarioRerunBitIdentical(t *testing.T) {
 	// The burst overload must actually shed low-class work, and the
 	// shed counters must be consistent in both the totals and the
 	// snapshot deltas.
-	if r1.Total.Shed == 0 || r1.Total.ShedLow == 0 {
+	shedHigh, shedLow := r1.Total.Class(1).Shed, r1.Total.Class(0).Shed
+	if r1.Total.Shed == 0 || shedLow == 0 {
 		t.Errorf("burst shed nothing: %+v", r1.Total)
 	}
-	if r1.Total.Shed != r1.Total.ShedHigh+r1.Total.ShedLow {
-		t.Errorf("shed split %d+%d != total %d", r1.Total.ShedHigh, r1.Total.ShedLow, r1.Total.Shed)
+	if r1.Total.Shed != shedHigh+shedLow {
+		t.Errorf("shed split %d+%d != total %d", shedHigh, shedLow, r1.Total.Shed)
 	}
 	var snapShed uint64
 	for _, s := range obs1.Snapshots {
