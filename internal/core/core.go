@@ -439,26 +439,25 @@ func (m ClassMetric) Completed() uint64 { return uint64(m.RT.Count()) }
 func (m ClassMetric) Mean() float64 { return m.RT.Mean() }
 
 // ClassMetric finds class c's entry in Classes (zero value when the
-// class completed nothing in the window).
+// class completed nothing in the window). It scans rather than
+// bisects, so a Metrics value assembled by hand with Classes out of
+// order still reads correctly.
 func (m Metrics) ClassMetric(c Class) ClassMetric {
-	if i, ok := m.classIndex(c); ok {
-		return m.Classes[i]
+	for _, cm := range m.Classes {
+		if cm.Class == c {
+			return cm
+		}
 	}
 	return ClassMetric{Class: c}
 }
 
-// classIndex binary-searches Classes for c: its index, or the index
-// where it would be inserted.
-func (m *Metrics) classIndex(c Class) (int, bool) {
-	return slices.BinarySearchFunc(m.Classes, c, func(cm ClassMetric, c Class) int {
+// classRT returns class c's response-time accumulator, inserting a
+// zero entry in class-ID order the first time c is seen. Only Observe
+// and MergeClassMetrics insert, so the slice it searches is ascending.
+func (m *Metrics) classRT(c Class) *stats.Accumulator {
+	i, ok := slices.BinarySearchFunc(m.Classes, c, func(cm ClassMetric, c Class) int {
 		return cmp.Compare(cm.Class, c)
 	})
-}
-
-// classRT returns class c's response-time accumulator, inserting a
-// zero entry in class-ID order the first time c is seen.
-func (m *Metrics) classRT(c Class) *stats.Accumulator {
-	i, ok := m.classIndex(c)
 	if !ok {
 		m.Classes = slices.Insert(m.Classes, i, ClassMetric{Class: c})
 	}

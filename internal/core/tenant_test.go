@@ -167,6 +167,26 @@ func TestMergeClassMetrics(t *testing.T) {
 	}
 }
 
+// TestClassMetricLookupUnordered: ClassMetric reads a Metrics value
+// assembled by hand, with Classes in no particular order, correctly.
+func TestClassMetricLookupUnordered(t *testing.T) {
+	m := Metrics{Classes: []ClassMetric{{Class: 3}, {Class: 0}, {Class: 2}, {Class: 1}}}
+	for i := range m.Classes {
+		for j := 0; j <= i; j++ {
+			m.Classes[i].RT.Add(1)
+		}
+	}
+	for i, cm := range m.Classes {
+		got := m.ClassMetric(cm.Class)
+		if got.Class != cm.Class || got.Completed() != uint64(i+1) {
+			t.Errorf("ClassMetric(%d) = class %d with %d completions, want %d", cm.Class, got.Class, got.Completed(), i+1)
+		}
+	}
+	if got := m.ClassMetric(9); got.Class != 9 || got.Completed() != 0 {
+		t.Errorf("ClassMetric(9) = %+v, want an empty class-9 entry", got)
+	}
+}
+
 // TestClassMetricsStorage pins the per-class window storage: sorted by
 // class ID whatever the arrival order, allocation-free once every
 // class has been seen, copied out by Metrics, and kept (zeroed) across
