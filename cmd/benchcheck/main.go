@@ -9,7 +9,8 @@
 // uncontended lock acquire/release), and the
 // deterministic summary numbers of the fig7, dispatch, slo, churn,
 // autoscale, fairness, fig11 (setups 1/3/5), POW-ablation,
-// policy-comparison and internal-vs-external figures — and compares
+// policy-comparison, internal-vs-external, controller (setups 1/3/5)
+// and surge (setup 1) figures — and compares
 // them against the committed BENCH_baseline.json with per-metric
 // tolerances. Any regression exits nonzero, which is what lets CI
 // refuse a PR that slows a hot path or silently changes a figure.
@@ -490,6 +491,20 @@ func measure() ([]Metric, error) {
 		return nil, err
 	}
 	addFigure(&out, internal)
+	// The Section 4.3 MPL controller: convergence from the jump-start
+	// on setups 1/3/5, and one scenario run where it moves the MPL
+	// (setup 1 goes from 1 to 2; setup 3 holds 1 throughout and would
+	// guard nothing).
+	ctl, err := experiments.ControllerFigure([]int{1, 3, 5}, 0.05, true, opts)
+	if err != nil {
+		return nil, err
+	}
+	addFigure(&out, ctl)
+	surge, err := experiments.SurgeFigure(1, 0.05, opts)
+	if err != nil {
+		return nil, err
+	}
+	addFigure(&out, surge)
 	return out, nil
 }
 
