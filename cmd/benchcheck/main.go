@@ -1,7 +1,8 @@
 // Command benchcheck is the bench-regression gate: it re-measures the
 // repository's tracked performance metrics — kernel microbenchmarks
 // (ns/op and allocs/op), live-gate overhead (serial plus RunParallel
-// contention sweeps at GOMAXPROCS 2/4/8, and the Pool fast path),
+// contention sweeps at GOMAXPROCS 2/4/8, the Pool fast path, and the
+// allocation count with the feedback controller attached),
 // dispatch-policy pick cost at fleet sizes 8 and 1000 (the sampled
 // "jsq-d" path must stay allocation-free and flat in N), stack build
 // (buffer-pool warm-up for Table 2 setups 1, 5 and 11), one DBMS step
@@ -242,24 +243,39 @@ func measure() ([]Metric, error) {
 	// Live gate: the uncontended Acquire/Release hot path (gate
 	// BenchmarkGateAcquireRelease, single-goroutine so the number is
 	// the pure per-call overhead).
+	serial := func(g *gate.Gate) testing.BenchmarkResult {
+		return testing.Benchmark(func(b *testing.B) {
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tk, err := g.Acquire(ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tk.Release(gate.Result{})
+			}
+		})
+	}
 	g, err := gate.New(gate.Config{})
 	if err != nil {
 		return nil, err
 	}
-	r = testing.Benchmark(func(b *testing.B) {
-		ctx := context.Background()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tk, err := g.Acquire(ctx)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tk.Release(gate.Result{})
-		}
-	})
+	r = serial(g)
 	add("gate/acquire_release/ns_op", "time", float64(r.NsPerOp()))
 	add("gate/acquire_release/allocs_op", "allocs", float64(r.AllocsPerOp()))
+
+	// The same path with the feedback controller attached (gate
+	// BenchmarkGateAcquireReleaseAutoTune): every Release feeds the
+	// controller, which must read the metrics window without
+	// allocating. Only the allocation count is tracked.
+	if g, err = gate.New(gate.Config{Limit: 8}); err != nil {
+		return nil, err
+	}
+	if err := g.EnableAutoTune(gate.TuneConfig{MaxThroughputLoss: 0.05, ReferenceThroughput: 1e6}); err != nil {
+		return nil, err
+	}
+	add("gate/acquire_release_autotune/allocs_op", "allocs", float64(serial(g).AllocsPerOp()))
 
 	// Live gate under contention: the same uncontended-admission path
 	// driven from N goroutines on N procs (gate

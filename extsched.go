@@ -100,11 +100,12 @@ type Config struct {
 	// are judged by per-class tails, so the report must carry them.
 	PercentileSamples int
 	// SLO, when non-nil, runs every scenario under the latency-SLO
-	// controller from the start of its measurement window: the MPL is
-	// partitioned across the classes and the split steered to hold the
-	// protected class's percentile target. Requires MPL >= 2; the
-	// capability table's SLO row applies (unsharded systems only).
-	// Scenario SetSLO events can replace it mid-run.
+	// controller from the start of its measurement window, as a set_slo
+	// event at offset 0 of its first phase, ahead of that phase's own
+	// events: the MPL is partitioned across the classes and the split
+	// steered to hold the protected class's percentile target. Requires
+	// MPL >= 2; the capability table's SLO row applies (unsharded
+	// systems only). Scenario SetSLO events can replace it mid-run.
 	SLO *SLOSpec
 	// ClassLimits, when non-nil, installs a static per-class MPL
 	// partition from the start (both limits >= 1; the capability
@@ -398,7 +399,6 @@ func (s *System) buildStack(mpl int) (runner.Stack, error) {
 	if st.PercentileSamples == 0 && (cfg.SLO != nil || cfg.AdmitDeadline != nil) {
 		st.PercentileSamples = 2048
 	}
-	st.SLO = cfg.SLO
 	// backend builds one DBMS+frontend pair on eng: the lone backend,
 	// or one shard of the fleet (Config.Validate keeps ClassLimits off
 	// sharded configs).

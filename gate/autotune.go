@@ -47,10 +47,12 @@ type TuneStatus struct {
 	Limit int
 }
 
-// tuner pairs the controller with its wiring state.
-type tuner struct {
-	ctl *controller.Controller
-}
+// The kinds of loop Gate.loop holds, as its conflict errors name them.
+const (
+	loopAutoTune = "auto-tune"
+	loopSLO      = "SLO"
+	loopFairness = "fairness"
+)
 
 // EnableAutoTune attaches the feedback controller to the gate's
 // completion stream: from now on every Release feeds an observation
@@ -61,50 +63,35 @@ type tuner struct {
 // point; use JumpStart-style estimates or a modest guess — the
 // adaptive step recovers from misjudged starts). Enabling twice
 // replaces the previous controller and restarts the metrics window.
-// Auto-tune and SLO tuning are mutually exclusive: both loops close
-// observation windows by resetting the gate's one metrics window, so
-// running them together would destroy each other's observations.
+// Auto-tune, SLO tuning and fairness are mutually exclusive: all three
+// close observation windows by resetting the gate's one metrics window,
+// so enabling one while another is attached fails, changing nothing.
 func (g *Gate) EnableAutoTune(tc TuneConfig) error {
-	g.tuneMu.Lock()
-	defer g.tuneMu.Unlock()
-	if g.fe.MPL() < 1 {
-		return fmt.Errorf("gate: auto-tune needs a finite starting limit (have %d); set Config.Limit or SetLimit first", g.fe.MPL())
-	}
-	if g.slo.Load() != nil {
-		return fmt.Errorf("gate: auto-tune and SLO tuning share the metrics window; DisableSLOTune first")
-	}
-	if g.fair.Load() != nil {
-		return fmt.Errorf("gate: auto-tune and fairness share the metrics window; DisableFairness first")
-	}
-	ctl, err := controller.New(g.clock, g.fe, controller.Config{
-		Targets: controller.Targets{
-			MaxThroughputLoss: tc.MaxThroughputLoss,
-			MaxRTIncrease:     tc.MaxRTIncrease,
-		},
-		Reference: controller.Reference{
-			MaxThroughput: tc.ReferenceThroughput,
-			OptimalRT:     tc.ReferenceRT,
-		},
-		MinObservations: tc.MinObservations,
-		MaxWindow:       tc.MaxWindow,
-		MinMPL:          tc.MinLimit,
-		MaxMPL:          tc.MaxLimit,
-		HoldWindows:     tc.HoldWindows,
+	return g.loop.Attach(loopAutoTune, func() (controller.Loop, error) {
+		if g.fe.MPL() < 1 {
+			return nil, fmt.Errorf("gate: auto-tune needs a finite starting limit (have %d); set Config.Limit or SetLimit first", g.fe.MPL())
+		}
+		return controller.New(g.clock, g.fe, controller.Config{
+			Targets: controller.Targets{
+				MaxThroughputLoss: tc.MaxThroughputLoss,
+				MaxRTIncrease:     tc.MaxRTIncrease,
+			},
+			Reference: controller.Reference{
+				MaxThroughput: tc.ReferenceThroughput,
+				OptimalRT:     tc.ReferenceRT,
+			},
+			MinObservations: tc.MinObservations,
+			MaxWindow:       tc.MaxWindow,
+			MinMPL:          tc.MinLimit,
+			MaxMPL:          tc.MaxLimit,
+			HoldWindows:     tc.HoldWindows,
+		})
 	})
-	if err != nil {
-		return err
-	}
-	g.ctl.Store(&tuner{ctl: ctl})
-	return nil
 }
 
 // DisableAutoTune detaches the controller; the limit stays where the
 // loop left it.
-func (g *Gate) DisableAutoTune() {
-	g.tuneMu.Lock()
-	defer g.tuneMu.Unlock()
-	g.ctl.Store(nil)
-}
+func (g *Gate) DisableAutoTune() { g.loop.Detach(loopAutoTune) }
 
 // SLOTuneConfig parameterizes the per-class latency-SLO controller for
 // a live gate: hold Class's Percentile-th response-time percentile at
@@ -140,11 +127,6 @@ type SLOTuneStatus struct {
 	LastMeasured         float64
 }
 
-// sloTuner pairs the SLO controller with its wiring state.
-type sloTuner struct {
-	ctl *controller.SLOController
-}
-
 // EnableSLOTune attaches the latency-SLO controller to the gate's
 // completion stream: every Release feeds an observation window, and
 // each closed window nudges the class partition — a slot toward the
@@ -153,81 +135,65 @@ type sloTuner struct {
 // least 2 (a partition has two sides) and percentile sampling enabled
 // (Config.PercentileSamples — the loop steers on the class
 // percentile). Enabling twice replaces the previous loop and restarts
-// the metrics window. SLO tuning and auto-tune are mutually
-// exclusive — both close observation windows by resetting the gate's
-// one metrics window — so move the limit with SetLimit (the SLO loop
+// the metrics window. SLO tuning excludes auto-tune and fairness (see
+// EnableAutoTune), so move the limit with SetLimit (the SLO loop
 // re-spreads it at its next reaction) or alternate the loops.
 func (g *Gate) EnableSLOTune(tc SLOTuneConfig) error {
-	g.tuneMu.Lock()
-	defer g.tuneMu.Unlock()
-	if g.fe.MPL() < 2 {
-		return fmt.Errorf("gate: SLO tuning needs a limit >= 2 to partition (have %d); set Config.Limit or SetLimit first", g.fe.MPL())
-	}
-	if !g.fe.PercentilesEnabled() {
-		return fmt.Errorf("gate: SLO tuning steers on class percentiles; set Config.PercentileSamples")
-	}
-	if g.ctl.Load() != nil {
-		return fmt.Errorf("gate: SLO tuning and auto-tune share the metrics window; DisableAutoTune first")
-	}
-	if g.fair.Load() != nil {
-		return fmt.Errorf("gate: SLO tuning and fairness share the metrics window; DisableFairness first")
-	}
-	ctl, err := controller.NewSLO(g.clock, g.fe, controller.SLOConfig{
-		Target: controller.SLOTarget{
-			Class:      core.Class(tc.Class),
-			Percentile: tc.Percentile,
-			Target:     tc.Target,
-		},
-		OtherClass:      core.Class(tc.OtherClass),
-		MinObservations: tc.MinObservations,
-		Margin:          tc.Margin,
+	return g.loop.Attach(loopSLO, func() (controller.Loop, error) {
+		if g.fe.MPL() < 2 {
+			return nil, fmt.Errorf("gate: SLO tuning needs a limit >= 2 to partition (have %d); set Config.Limit or SetLimit first", g.fe.MPL())
+		}
+		if !g.fe.PercentilesEnabled() {
+			return nil, fmt.Errorf("gate: SLO tuning steers on class percentiles; set Config.PercentileSamples")
+		}
+		return controller.NewSLO(g.clock, g.fe, controller.SLOConfig{
+			Target: controller.SLOTarget{
+				Class:      core.Class(tc.Class),
+				Percentile: tc.Percentile,
+				Target:     tc.Target,
+			},
+			OtherClass:      core.Class(tc.OtherClass),
+			MinObservations: tc.MinObservations,
+			Margin:          tc.Margin,
+		})
 	})
-	if err != nil {
-		return err
-	}
-	g.slo.Store(&sloTuner{ctl: ctl})
-	return nil
 }
 
 // DisableSLOTune detaches the SLO loop; the class partition stays
 // where it left it (clear it with SetClassLimits(nil)).
-func (g *Gate) DisableSLOTune() {
-	g.tuneMu.Lock()
-	defer g.tuneMu.Unlock()
-	g.slo.Store(nil)
-}
+func (g *Gate) DisableSLOTune() { g.loop.Detach(loopSLO) }
 
-// SLOTuneStatus reports the SLO loop's state (zero value when SLO
-// tuning was never enabled).
+// SLOTuneStatus reports the SLO loop's state (zero value when no SLO
+// loop is attached).
 func (g *Gate) SLOTuneStatus() SLOTuneStatus {
-	s := g.slo.Load()
-	if s == nil {
+	s, ok := g.loop.Loop().(*controller.SLOController)
+	if !ok {
 		return SLOTuneStatus{}
 	}
-	slo, other := s.ctl.Limits()
+	slo, other := s.Limits()
 	st := SLOTuneStatus{
 		Enabled:    true,
 		SLOLimit:   slo,
 		OtherLimit: other,
-		Iterations: s.ctl.Iterations(),
+		Iterations: s.Iterations(),
 	}
-	if d, ok := s.ctl.Last(); ok {
+	if d, ok := s.Last(); ok {
 		st.LastMeasured = d.Measured
 	}
 	return st
 }
 
-// TuneStatus reports the controller's progress (zero value when
-// auto-tuning was never enabled).
+// TuneStatus reports the controller's progress (zero value, apart from
+// Limit, when no controller is attached).
 func (g *Gate) TuneStatus() TuneStatus {
-	t := g.ctl.Load()
-	if t == nil {
+	c, ok := g.loop.Loop().(*controller.Controller)
+	if !ok {
 		return TuneStatus{Limit: g.fe.MPL()}
 	}
 	return TuneStatus{
 		Enabled:    true,
-		Converged:  t.ctl.Converged(),
-		Iterations: t.ctl.Iterations(),
+		Converged:  c.Converged(),
+		Iterations: c.Iterations(),
 		Limit:      g.fe.MPL(),
 	}
 }

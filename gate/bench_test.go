@@ -26,6 +26,29 @@ func BenchmarkGateAcquireRelease(b *testing.B) {
 	}
 }
 
+// BenchmarkGateAcquireReleaseAutoTune is the same serial path with the
+// feedback controller attached, so every Release also feeds its
+// observation window. The controller reads the window into a buffer it
+// keeps — target 0 allocs/op.
+func BenchmarkGateAcquireReleaseAutoTune(b *testing.B) {
+	g, err := New(Config{Limit: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := g.EnableAutoTune(TuneConfig{MaxThroughputLoss: 0.05, ReferenceThroughput: 1e6}); err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tk, err := g.Acquire(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tk.Release(Result{})
+	}
+}
+
 // BenchmarkGateAcquireReleaseParallel is the same uncontended path
 // under RunParallel — run with -cpu 2,4,8 to see how the lock-free
 // admit word scales. With no queue the goroutines contend only on the

@@ -3,6 +3,7 @@ package gate
 import (
 	"fmt"
 
+	"extsched/internal/controller"
 	"extsched/internal/core"
 	"extsched/internal/fairness"
 )
@@ -43,11 +44,6 @@ type FairnessStatus struct {
 	Iterations, Moves int
 }
 
-// fairTuner pairs the fairness controller with its wiring state.
-type fairTuner struct {
-	ctl *fairness.Controller
-}
-
 // EnableFairness attaches the weighted max-min fairness controller to
 // the gate's completion stream: every Release feeds an observation
 // window, and each closed window moves at most one slot from the most-
@@ -57,41 +53,29 @@ type fairTuner struct {
 // slot — an aggressor can never capture the whole gate. The gate needs
 // a finite limit of at least one slot per governed tenant. Enabling
 // twice replaces the previous loop and restarts the metrics window.
-// Fairness, auto-tune and SLO tuning are mutually exclusive: all three
-// close observation windows by resetting the gate's one metrics window.
+// Fairness excludes auto-tune and SLO tuning (see EnableAutoTune).
 func (g *Gate) EnableFairness(fc FairnessConfig) error {
-	g.tuneMu.Lock()
-	defer g.tuneMu.Unlock()
-	if g.ctl.Load() != nil {
-		return fmt.Errorf("gate: fairness and auto-tune share the metrics window; DisableAutoTune first")
-	}
-	if g.slo.Load() != nil {
-		return fmt.Errorf("gate: fairness and SLO tuning share the metrics window; DisableSLOTune first")
-	}
-	weights := make(map[core.Class]float64, len(fc.Weights))
-	if fc.Weights == nil {
-		for _, t := range g.fe.Tenants() {
-			weights[t.Class] = t.Weight
+	return g.loop.Attach(loopFairness, func() (controller.Loop, error) {
+		weights := make(map[core.Class]float64, len(fc.Weights))
+		if fc.Weights == nil {
+			for _, t := range g.fe.Tenants() {
+				weights[t.Class] = t.Weight
+			}
+			if len(weights) < 2 {
+				return nil, fmt.Errorf("gate: fairness over registered tenants needs >= 2 RegisterClass calls (have %d); or pass explicit Weights", len(weights))
+			}
+		} else {
+			for c, w := range fc.Weights {
+				weights[core.Class(c)] = w
+			}
 		}
-		if len(weights) < 2 {
-			return fmt.Errorf("gate: fairness over registered tenants needs >= 2 RegisterClass calls (have %d); or pass explicit Weights", len(weights))
-		}
-	} else {
-		for c, w := range fc.Weights {
-			weights[core.Class(c)] = w
-		}
-	}
-	ctl, err := fairness.New(g.fe, fairness.Config{
-		Weights:         weights,
-		MinObservations: fc.MinObservations,
-		Hysteresis:      fc.Hysteresis,
-		Strict:          fc.Strict,
+		return fairness.New(g.fe, fairness.Config{
+			Weights:         weights,
+			MinObservations: fc.MinObservations,
+			Hysteresis:      fc.Hysteresis,
+			Strict:          fc.Strict,
+		})
 	})
-	if err != nil {
-		return err
-	}
-	g.fair.Store(&fairTuner{ctl: ctl})
-	return nil
 }
 
 // DisableFairness detaches the fairness loop; the tenant partition
@@ -99,20 +83,18 @@ func (g *Gate) EnableFairness(fc FairnessConfig) error {
 // strict partition relaxes back to work-conserving — a frozen hard cap
 // with no controller rebalancing it could idle capacity forever.
 func (g *Gate) DisableFairness() {
-	g.tuneMu.Lock()
-	defer g.tuneMu.Unlock()
-	g.fair.Store(nil)
+	g.loop.Detach(loopFairness)
 	g.fe.SetStrictPartition(false)
 }
 
-// FairnessStatus reports the fairness loop's state (zero value when
-// fairness was never enabled).
+// FairnessStatus reports the fairness loop's state (zero value when no
+// fairness loop is attached).
 func (g *Gate) FairnessStatus() FairnessStatus {
-	f := g.fair.Load()
-	if f == nil {
+	f, ok := g.loop.Loop().(*fairness.Controller)
+	if !ok {
 		return FairnessStatus{}
 	}
-	limits := f.ctl.Limits()
+	limits := f.Limits()
 	out := make(map[Class]int, len(limits))
 	for c, l := range limits {
 		out[Class(c)] = l
@@ -120,7 +102,7 @@ func (g *Gate) FairnessStatus() FairnessStatus {
 	return FairnessStatus{
 		Enabled:    true,
 		Limits:     out,
-		Iterations: f.ctl.Iterations(),
-		Moves:      f.ctl.Moves(),
+		Iterations: f.Iterations(),
+		Moves:      f.Moves(),
 	}
 }

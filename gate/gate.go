@@ -36,10 +36,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
+	"extsched/internal/controller"
 	"extsched/internal/core"
 	"extsched/internal/sim"
 	"extsched/metrics"
@@ -148,14 +148,10 @@ type Gate struct {
 	// slots recycles ticketSlots so the uncontended Acquire/Release
 	// round trip allocates nothing.
 	slots sync.Pool
-	// tuneMu serializes the Enable/Disable tune paths so the two
-	// loops' mutual-exclusion checks cannot race each other; the
-	// completion hot path only Loads the atomics.
-	tuneMu sync.Mutex
-	ctl    atomic.Pointer[tuner]
-	slo    atomic.Pointer[sloTuner]
-	fair   atomic.Pointer[fairTuner]
-	errs   atomic.Uint64
+	// loop holds the attached auto-tune, SLO or fairness loop; every
+	// Release feeds it.
+	loop controller.Slot
+	errs atomic.Uint64
 }
 
 // ticketSlot is the reusable per-acquisition record behind a Ticket.
@@ -263,19 +259,8 @@ func New(cfg Config) (*Gate, error) {
 		g.fe.EnablePercentiles(cfg.PercentileSamples, seed)
 	}
 	// The completion hook is installed once, before any traffic; the
-	// tuner pointers make EnableAutoTune / EnableSLOTune race-free
-	// afterwards.
-	g.fe.OnComplete = func(*core.Item) {
-		if t := g.ctl.Load(); t != nil {
-			t.ctl.Observe()
-		}
-		if s := g.slo.Load(); s != nil {
-			s.ctl.Observe()
-		}
-		if f := g.fair.Load(); f != nil {
-			f.ctl.Observe()
-		}
-	}
+	// slot makes attaching and detaching loops race-free afterwards.
+	g.fe.OnComplete = func(*core.Item) { g.loop.Observe() }
 	return g, nil
 }
 
@@ -580,42 +565,13 @@ func (g *Gate) Stats() Stats {
 		Errors:       g.errs.Load(),
 	}
 	s.Shed = g.fe.Shed()
-	s.Classes = g.classStats(m)
+	// Every class that completed work this window or ever shed any.
+	s.Classes = m.ClassStats(g.fe.ShedClasses(), nil, 0, func(cs *metrics.ClassStat) {
+		c := core.Class(cs.Class)
+		cs.Name = g.fe.TenantName(c)
+		cs.P95 = g.fe.ClassResponseTimePercentile(c, 95)
+	})
 	return s
-}
-
-// classStats assembles the per-tenant slice of a Stats snapshot: every
-// class that completed work this window or ever shed any, ascending.
-func (g *Gate) classStats(m core.Metrics) []metrics.ClassStat {
-	shed := g.fe.ShedClasses()
-	ids := make(map[core.Class]struct{}, len(m.Classes)+len(shed))
-	for _, cm := range m.Classes {
-		ids[cm.Class] = struct{}{}
-	}
-	for c := range shed {
-		ids[c] = struct{}{}
-	}
-	if len(ids) == 0 {
-		return nil
-	}
-	classes := make([]core.Class, 0, len(ids))
-	for c := range ids {
-		classes = append(classes, c)
-	}
-	sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
-	out := make([]metrics.ClassStat, len(classes))
-	for i, c := range classes {
-		cm := m.ClassMetric(c)
-		out[i] = metrics.ClassStat{
-			Class:     int(c),
-			Name:      g.fe.TenantName(c),
-			Completed: cm.Completed(),
-			Shed:      shed[c],
-			Mean:      cm.RT.Mean(),
-			P95:       g.fe.ClassResponseTimePercentile(c, 95),
-		}
-	}
-	return out
 }
 
 // ResetStats starts a fresh metrics window (Throughput, MeanResponse

@@ -175,6 +175,8 @@ type Dispatcher struct {
 	// single-goroutine, like the engine it runs under), keeping the
 	// per-transaction routing path allocation-free.
 	scratch []Load
+	// shardWin is ReadMetrics's buffer for one shard's window.
+	shardWin core.Metrics
 	// routed counts arrivals routed to each shard (drops excluded).
 	routed []uint64
 	// OnComplete, if set, observes every completion with the index of
@@ -584,28 +586,16 @@ func (d *Dispatcher) Shed() uint64 {
 	return n
 }
 
-// Metrics aggregates the shards' metrics windows into one cluster-wide
-// view (parallel Welford merges; the window length is shard 0's, since
-// all shards share one clock and reset together).
-func (d *Dispatcher) Metrics() core.Metrics {
-	var out core.Metrics
-	windows := make([][]core.ClassMetric, 0, len(d.shards))
-	for i := range d.shards {
-		m := d.shards[i].FE.Metrics()
-		out.Completed += m.Completed
-		out.Restarts += m.Restarts
-		out.All.Merge(&m.All)
-		out.Inside.Merge(&m.Inside)
-		out.ExtWait.Merge(&m.ExtWait)
-		if len(m.Classes) > 0 {
-			windows = append(windows, m.Classes)
-		}
-		if i == 0 {
-			out = out.WithWindow(m.Window())
-		}
+// ReadMetrics reads the cluster-wide metrics window into dst: shard
+// 0's window, with every other shard's merged in, in shard order (the
+// window length is shard 0's, since all shards share one clock and
+// reset together). dst's storage is reused.
+func (d *Dispatcher) ReadMetrics(dst *core.Metrics) {
+	d.shards[0].FE.ReadMetrics(dst)
+	for i := 1; i < len(d.shards); i++ {
+		d.shards[i].FE.ReadMetrics(&d.shardWin)
+		dst.Merge(&d.shardWin)
 	}
-	out.Classes = core.MergeClassMetrics(windows...)
-	return out
 }
 
 // ShedClasses aggregates the shards' per-class shed counts (nil when

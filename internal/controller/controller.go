@@ -47,8 +47,9 @@ type Gate interface {
 	MPL() int
 	// SetMPL changes the limit (the reaction phase's actuator).
 	SetMPL(int)
-	// Metrics snapshots the current observation window.
-	Metrics() core.Metrics
+	// ReadMetrics copies the current observation window into dst,
+	// reusing dst's storage.
+	ReadMetrics(dst *core.Metrics)
 	// ResetMetrics starts a fresh observation window.
 	ResetMetrics()
 	// QueueLen and Inside report instantaneous load (for the
@@ -211,6 +212,8 @@ type Controller struct {
 	// CI gates the throughput estimate.
 	interCompletion stats.Accumulator
 	lastCompletion  float64
+	// win is the buffer each completion reads the window into.
+	win core.Metrics
 }
 
 // New builds a controller over g and opens its first observation
@@ -267,7 +270,8 @@ func (c *Controller) Observe() {
 		c.interCompletion.Add(now - c.lastCompletion)
 	}
 	c.lastCompletion = now
-	m := c.gate.Metrics()
+	m := &c.win
+	c.gate.ReadMetrics(m)
 	if int(m.Completed) < c.cfg.MinObservations {
 		return
 	}
@@ -287,7 +291,7 @@ func (c *Controller) Observe() {
 		c.resetWindow()
 		return
 	}
-	c.react(m)
+	c.react(*m)
 	c.resetWindow()
 }
 

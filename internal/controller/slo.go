@@ -35,8 +35,6 @@ type ClassGate interface {
 	Gate
 	// SetClassLimits partitions the MPL (see core.Frontend).
 	SetClassLimits(map[core.Class]int)
-	// ClassLimits returns the current partition (nil = none).
-	ClassLimits() map[core.Class]int
 	// ClassResponseTimePercentile reports the class's p-th response-time
 	// percentile over the current metrics window.
 	ClassResponseTimePercentile(core.Class, float64) float64
@@ -137,6 +135,8 @@ type SLOController struct {
 	// pacing state).
 	belowCount int
 	history    *stats.Ring[SLODecision]
+	// win is the buffer each completion reads the window into.
+	win core.Metrics
 }
 
 // NewSLO builds an SLO controller over g and installs the initial
@@ -239,7 +239,8 @@ func (c *SLOController) Limits() (slo, other int) {
 func (c *SLOController) Observe() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	m := c.gate.Metrics()
+	m := &c.win
+	c.gate.ReadMetrics(m)
 	if int(m.Completed) < c.cfg.MinObservations {
 		return
 	}

@@ -18,18 +18,15 @@ type fakeClassGate struct {
 	resets     int
 }
 
-func (g *fakeClassGate) MPL() int      { return g.mpl }
-func (g *fakeClassGate) SetMPL(n int)  { g.mpl = n }
-func (g *fakeClassGate) QueueLen() int { return 1 }
-func (g *fakeClassGate) Inside() int   { return g.mpl }
-func (g *fakeClassGate) Metrics() core.Metrics {
-	return g.m
-}
-func (g *fakeClassGate) ResetMetrics() { g.resets++ }
+func (g *fakeClassGate) MPL() int                      { return g.mpl }
+func (g *fakeClassGate) SetMPL(n int)                  { g.mpl = n }
+func (g *fakeClassGate) QueueLen() int                 { return 1 }
+func (g *fakeClassGate) Inside() int                   { return g.mpl }
+func (g *fakeClassGate) ReadMetrics(dst *core.Metrics) { *dst = g.m }
+func (g *fakeClassGate) ResetMetrics()                 { g.resets++ }
 func (g *fakeClassGate) SetClassLimits(l map[core.Class]int) {
 	g.limits = l
 }
-func (g *fakeClassGate) ClassLimits() map[core.Class]int { return g.limits }
 func (g *fakeClassGate) ClassResponseTimePercentile(c core.Class, p float64) float64 {
 	return g.percentile
 }

@@ -53,6 +53,7 @@ import (
 
 	"extsched/internal/sim"
 	"extsched/internal/stats"
+	"extsched/metrics"
 )
 
 // Class is a small-integer priority class. ClassHigh receives strict
@@ -453,7 +454,7 @@ func (m Metrics) ClassMetric(c Class) ClassMetric {
 
 // classRT returns class c's response-time accumulator, inserting a
 // zero entry in class-ID order the first time c is seen. Only Observe
-// and MergeClassMetrics insert, so the slice it searches is ascending.
+// and Merge insert, so the slice it searches is ascending.
 func (m *Metrics) classRT(c Class) *stats.Accumulator {
 	i, ok := slices.BinarySearchFunc(m.Classes, c, func(cm ClassMetric, c Class) int {
 		return cmp.Compare(cm.Class, c)
@@ -491,17 +492,51 @@ func (m *Metrics) Reset() {
 	*m = Metrics{Classes: classes}
 }
 
-// MergeClassMetrics merges per-class accumulators from several Metrics
-// windows (e.g. the shards of a cluster) into one ascending-class-ID
-// slice — the per-class analogue of merging the All accumulators.
-func MergeClassMetrics(windows ...[]ClassMetric) []ClassMetric {
-	var out Metrics
-	for _, w := range windows {
-		for i := range w {
-			out.classRT(w[i].Class).Merge(&w[i].RT)
+// Merge folds window o (e.g. one shard's) into m: the counts add, the
+// accumulators merge (parallel Welford), and each of o's classes
+// merges into m's entry for it. The window length is left alone.
+// Merging into a reset Metrics copies o exactly.
+func (m *Metrics) Merge(o *Metrics) {
+	m.Completed += o.Completed
+	m.Restarts += o.Restarts
+	m.All.Merge(&o.All)
+	m.Inside.Merge(&o.Inside)
+	m.ExtWait.Merge(&o.ExtWait)
+	for i := range o.Classes {
+		m.classRT(o.Classes[i].Class).Merge(&o.Classes[i].RT)
+	}
+}
+
+// ClassStats is the window's per-class breakdown: one entry for every
+// class that completed work in the window or shed any since shedFrom,
+// in ascending class order. Shed is shed[c] − shedFrom[c] (a nil
+// shedFrom counts from zero); fill completes each entry with its name
+// and percentile. Above limit classes (when limit > 0) the breakdown is
+// elided and the result is nil.
+func (m *Metrics) ClassStats(shed, shedFrom map[Class]uint64, limit int, fill func(*metrics.ClassStat)) []metrics.ClassStat {
+	var classes []Class
+	for _, cm := range m.Classes {
+		if cm.RT.Count() > 0 {
+			classes = append(classes, cm.Class)
 		}
 	}
-	return out.Classes
+	for c, n := range shed {
+		if n > shedFrom[c] {
+			classes = append(classes, c)
+		}
+	}
+	slices.Sort(classes)
+	classes = slices.Compact(classes)
+	if len(classes) == 0 || (limit > 0 && len(classes) > limit) {
+		return nil
+	}
+	out := make([]metrics.ClassStat, len(classes))
+	for i, c := range classes {
+		rt := m.ClassMetric(c).RT
+		out[i] = metrics.ClassStat{Class: int(c), Completed: uint64(rt.Count()), Shed: shed[c] - shedFrom[c], Mean: rt.Mean()}
+		fill(&out[i])
+	}
+	return out
 }
 
 // WithWindow returns a copy of m whose Throughput is computed over the
@@ -990,12 +1025,21 @@ func (f *Frontend) ClassResponseTimePercentile(c Class, p float64) float64 {
 
 // Metrics returns a snapshot of the metrics window.
 func (f *Frontend) Metrics() Metrics {
+	var m Metrics
+	f.ReadMetrics(&m)
+	return m
+}
+
+// ReadMetrics copies the metrics window into dst, reusing dst's class
+// storage: a control loop that reads the window on every completion
+// allocates nothing once its buffer has grown.
+func (f *Frontend) ReadMetrics(dst *Metrics) {
 	f.metricsMu.Lock()
 	defer f.metricsMu.Unlock()
-	m := f.metrics
-	m.windowTime = f.clock.Now() - f.metrics.resetTime
-	m.Classes = slices.Clone(m.Classes)
-	return m
+	classes := append(dst.Classes[:0], f.metrics.Classes...)
+	*dst = f.metrics
+	dst.Classes = classes
+	dst.windowTime = f.clock.Now() - f.metrics.resetTime
 }
 
 // ResetMetrics starts a fresh measurement window (e.g. after warmup,

@@ -153,9 +153,15 @@ func TestMergeClassMetrics(t *testing.T) {
 		}
 		return cm
 	}
-	a := []ClassMetric{mk(0, 1, 2), mk(5, 10)}
-	b := []ClassMetric{mk(2, 3), mk(5, 20, 30)}
-	out := MergeClassMetrics(a, b)
+	a := Metrics{Completed: 3, Classes: []ClassMetric{mk(0, 1, 2), mk(5, 10)}}
+	b := Metrics{Completed: 3, Classes: []ClassMetric{mk(2, 3), mk(5, 20, 30)}}
+	var m Metrics
+	m.Merge(&a)
+	m.Merge(&b)
+	if m.Completed != 6 {
+		t.Errorf("merged Completed = %d, want 6", m.Completed)
+	}
+	out := m.Classes
 	if len(out) != 3 || out[0].Class != 0 || out[1].Class != 2 || out[2].Class != 5 {
 		t.Fatalf("merged classes = %+v", out)
 	}

@@ -40,9 +40,9 @@ type Gate interface {
 	// SetStrictPartition switches the partition between
 	// work-conserving and hard-cap (see core.Frontend).
 	SetStrictPartition(bool)
-	// Metrics returns the current observation window's per-class
-	// completion counts.
-	Metrics() core.Metrics
+	// ReadMetrics copies the current observation window, with its
+	// per-class completion counts, into dst, reusing dst's storage.
+	ReadMetrics(dst *core.Metrics)
 	// ResetMetrics opens a fresh observation window.
 	ResetMetrics()
 }
@@ -181,6 +181,8 @@ type Controller struct {
 	// reaction that moved a slot.
 	history *stats.Ring[Decision]
 	moves   int
+	// win is the buffer each completion reads the window into.
+	win core.Metrics
 }
 
 // historyLen bounds the reaction log. A live gate runs the loop for as
@@ -273,7 +275,8 @@ func (c *Controller) History() []Decision {
 func (c *Controller) Observe() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	m := c.gate.Metrics()
+	m := &c.win
+	c.gate.ReadMetrics(m)
 	if int(m.Completed) < c.cfg.MinObservations {
 		return
 	}

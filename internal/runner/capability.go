@@ -3,6 +3,8 @@ package runner
 import (
 	"fmt"
 	"sort"
+
+	"extsched/internal/controller"
 )
 
 // Needs is the set of stack shapes a feature requires.
@@ -196,12 +198,20 @@ func (s Spec) checkShape(sharded bool) error {
 
 // CheckStack vets the spec against a stack of shards shards (0 =
 // unsharded) before anything runs: the capability table must allow
-// every feature the spec requests on that shape, and every shard_fail,
+// every feature the spec requests on that shape; every shard_fail,
 // shard_recover and shard_remove must target a shard that exists when
-// it fires (the starting fleet plus earlier shard_add events).
+// it fires (the starting fleet plus earlier shard_add events); and no
+// control loop may attach while a loop of another kind holds the
+// metrics window. The loops replay through the slot rule the run
+// applies, in the run's order: the fairness block at window open, then
+// each event's disables before its enables.
 func (s Spec) CheckStack(shards int) error {
 	if err := s.checkShape(shards > 0); err != nil {
 		return err
+	}
+	var loops controller.Slot
+	if s.Fairness != nil {
+		_ = loops.Attach(loopFairness, stubLoop) // an empty slot refuses nothing
 	}
 	n := shards
 	for i, ph := range s.Phases {
@@ -223,7 +233,26 @@ func (s Spec) CheckStack(shards int) error {
 						i, ph.label(), j, tgt.key, *tgt.idx, n)
 				}
 			}
+			// applyEvent's order: the disables, then the enables.
+			kinds := [...]string{loopSLO, loopFairness, loopController}
+			for k, off := range [...]bool{ev.DisableSLO, ev.DisableFairness, ev.DisableController} {
+				if off {
+					loops.Detach(kinds[k])
+				}
+			}
+			for k, on := range [...]bool{ev.SetSLO != nil, ev.EnableFairness != nil, ev.EnableController != nil} {
+				if !on {
+					continue
+				}
+				if err := loops.Attach(kinds[k], stubLoop); err != nil {
+					return fmt.Errorf("runner: phase %d (%s) event %d: %w", i, ph.label(), j, err)
+				}
+			}
 		}
 	}
 	return nil
 }
+
+// stubLoop stands in for a loop in CheckStack's replay, which tracks
+// kinds only.
+func stubLoop() (controller.Loop, error) { return nil, nil }

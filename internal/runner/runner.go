@@ -70,17 +70,12 @@ type Stack struct {
 	// over the whole measurement window (deterministic given Seed).
 	PercentileSamples int
 	Seed              uint64
-	// SLO, when non-nil, attaches the latency-SLO controller for the
-	// whole run, from the moment the measurement window opens (an
-	// event-free way to run a scenario under SLO control; scenario
-	// SetSLO events can still replace it). The capability table's SLO
-	// row applies.
-	SLO *SLOSpec
 	// Fairness, when non-nil, attaches the N-tenant max-min fairness
 	// controller, with class-keyed weights, for the whole run from the
 	// moment the measurement window opens; Spec.Fairness, the
 	// name-keyed form, replaces it. The capability table's fairness row
-	// applies; mutually exclusive with SLO.
+	// applies, and it excludes the other loops like an enable_fairness
+	// event does.
 	Fairness *fairness.Config
 	// ClassNames labels tenant classes in per-class reports and
 	// snapshots. Classes absent from the map fall back to the
@@ -270,8 +265,8 @@ type Outcome struct {
 	Shards []ShardReport
 	// Tune is non-nil when an EnableController event fired.
 	Tune *TuneReport
-	// SLO is non-nil when the latency-SLO controller ran (Stack.SLO or
-	// a SetSLO event).
+	// SLO is non-nil when the latency-SLO controller ran (a SetSLO
+	// event).
 	SLO *SLOReport
 	// Fairness is non-nil when the max-min fairness controller ran
 	// (Stack.Fairness or an EnableFairness event).
@@ -382,38 +377,13 @@ func className(st Stack, c core.Class) string {
 // resClass, when non-nil, supplies run-so-far per-class percentiles.
 // Above limit classes (when limit > 0) the breakdown is elided.
 func classReports(st Stack, m *core.Metrics, from, to mark, resClass map[core.Class]*stats.Reservoir, limit int) []ClassReport {
-	var classes []core.Class
-	for _, cm := range m.Classes {
-		if cm.RT.Count() > 0 {
-			classes = append(classes, cm.Class)
-		}
-	}
-	for c, n := range to.shedClass {
-		if n > from.shedClass[c] {
-			classes = append(classes, c)
-		}
-	}
-	slices.Sort(classes)
-	classes = slices.Compact(classes)
-	if len(classes) == 0 || (limit > 0 && len(classes) > limit) {
-		return nil
-	}
-	out := make([]ClassReport, len(classes))
-	for i, c := range classes {
-		rt := m.ClassMetric(c).RT
-		cr := ClassReport{
-			Class:     int(c),
-			Name:      className(st, c),
-			Shed:      to.shedClass[c] - from.shedClass[c],
-			Completed: uint64(rt.Count()),
-			Mean:      rt.Mean(),
-		}
+	return m.ClassStats(to.shedClass, from.shedClass, limit, func(cr *ClassReport) {
+		c := core.Class(cr.Class)
+		cr.Name = className(st, c)
 		if rv := resClass[c]; rv != nil {
 			cr.P95 = rv.Percentile(95)
 		}
-		out[i] = cr
-	}
-	return out
+	})
 }
 
 // report assembles a Report from a window scope and its marks.
@@ -530,16 +500,12 @@ type run struct {
 	totalMark, phaseMark, winMark mark
 	nextSnap                      float64
 
-	ctl            *controller.Controller
-	tune           *TuneReport
+	out  Outcome         // record fills in the loop reports
+	loop controller.Slot // the attached MPL, SLO or fairness loop
+	// stopOnConverge ends the run when the MPL controller converges;
+	// sloClass names the SLO loop's protected class.
 	stopOnConverge bool
-
-	slo      *controller.SLOController
-	sloClass string
-	sloFinal *SLOReport
-
-	fair      *fairness.Controller
-	fairFinal *FairnessReport
+	sloClass       string
 
 	// asc is the armed fleet autoscaler; ascErr the first error a tick
 	// hit (the tick runs inside an engine callback and cannot return
@@ -582,22 +548,21 @@ func (r *run) onComplete(shard int, t *dbfe.Txn) {
 			r.classRes(t.Item.Class).Add(t.Item.ResponseTime())
 		}
 	}
-	if r.slo != nil {
-		r.slo.Observe()
+	r.loop.Observe()
+	// StopOnConverge must not wait for the next breakpoint (a scenario
+	// without snapshot ticks may have none before the phase's end):
+	// halt the engine as soon as the loop settles. The run loop sees
+	// converged() and finishes the run there.
+	if r.stopOnConverge && r.converged() {
+		r.st.Eng.Stop()
 	}
-	if r.fair != nil {
-		r.fair.Observe()
-	}
-	if r.ctl != nil {
-		r.ctl.Observe()
-		// StopOnConverge must not wait for the next breakpoint (a
-		// scenario without snapshot ticks may have none before the
-		// phase's end): halt the engine as soon as the loop settles.
-		// The run loop sees Converged() and finishes the run there.
-		if r.stopOnConverge && r.ctl.Converged() {
-			r.st.Eng.Stop()
-		}
-	}
+}
+
+// converged reports whether the attached loop is the MPL controller
+// and has settled.
+func (r *run) converged() bool {
+	c, ok := r.loop.Loop().(*controller.Controller)
+	return ok && c.Converged()
 }
 
 // classRes returns (building lazily) the run-so-far response-time
@@ -638,14 +603,6 @@ func Run(ctx context.Context, st Stack, spec Spec, obs ...metrics.Observer) (Out
 	}
 	if err := spec.CheckStack(shards); err != nil {
 		return Outcome{}, err
-	}
-	if st.SLO != nil {
-		if err := FeatureSLO.Check("Stack.SLO", shards); err != nil {
-			return Outcome{}, err
-		}
-		if err := st.SLO.Validate(); err != nil {
-			return Outcome{}, err
-		}
 	}
 	spec, err := spec.withTraces()
 	if err != nil {
@@ -704,7 +661,7 @@ func Run(ctx context.Context, st Stack, spec Spec, obs ...metrics.Observer) (Out
 	} else {
 		st.FE.OnComplete = func(t *dbfe.Txn) { r.onComplete(0, t) }
 	}
-	out := Outcome{}
+	out := &r.out
 	for i, ph := range spec.Phases {
 		driver, err := buildDriver(st, ph)
 		if err != nil {
@@ -731,11 +688,6 @@ func Run(ctx context.Context, st Stack, spec Spec, obs ...metrics.Observer) (Out
 				}
 			}
 			r.beginMeasurement()
-			if st.SLO != nil {
-				if err := r.attachSLO(*st.SLO); err != nil {
-					return Outcome{}, err
-				}
-			}
 			if st.Fairness != nil {
 				if err := r.attachFairness(*st.Fairness); err != nil {
 					return Outcome{}, err
@@ -762,29 +714,45 @@ func Run(ctx context.Context, st Stack, spec Spec, obs ...metrics.Observer) (Out
 	out.Total = report(st, &r.total, r.totalMark, r.res, r.resClass)
 	out.Shards = r.shardReports()
 	out.FinalMPL = st.Gate().MPL()
-	if r.tune != nil {
-		t := *r.tune
-		if r.ctl != nil { // still attached; a disable event already froze t
-			t.FinalMPL = out.FinalMPL
-			t.Iterations = r.ctl.Iterations()
-			t.Converged = r.ctl.Converged()
-		}
-		out.Tune = &t
-	}
-	if r.slo != nil {
-		out.SLO = r.sloReport()
-	} else if r.sloFinal != nil {
-		out.SLO = r.sloFinal
-	}
-	if r.fair != nil {
-		out.Fairness = r.fairReport()
-	} else if r.fairFinal != nil {
-		out.Fairness = r.fairFinal
-	}
+	r.record(r.loop.Loop())
 	if r.asc != nil {
 		out.Autoscale = r.autoscaleReport()
 	}
-	return out, nil
+	return *out, nil
+}
+
+// The kinds of loop run.loop holds, named after the events that detach
+// them (disable_controller, disable_slo, disable_fairness).
+const (
+	loopController = "controller"
+	loopSLO        = "slo"
+	loopFairness   = "fairness"
+)
+
+// record writes loop's state into the Outcome's report for its kind:
+// Tune, SLO or Fairness. It runs when an event detaches a loop and, for
+// the loop still attached, when the run ends; a nil loop records
+// nothing.
+func (r *run) record(loop controller.Loop) {
+	switch l := loop.(type) {
+	case *controller.Controller:
+		// Tune was opened, with StartMPL, when the first controller attached.
+		*r.out.Tune = TuneReport{StartMPL: r.out.Tune.StartMPL, FinalMPL: r.st.Gate().MPL(),
+			Iterations: l.Iterations(), Converged: l.Converged()}
+	case *controller.SLOController:
+		rep := &SLOReport{Class: r.sloClass, Iterations: l.Iterations()}
+		rep.SLOLimit, rep.OtherLimit = l.Limits()
+		if d, ok := l.Last(); ok {
+			rep.LastMeasured = d.Measured
+		}
+		r.out.SLO = rep
+	case *fairness.Controller:
+		rep := &FairnessReport{Limits: map[int]int{}, Iterations: l.Iterations(), Moves: l.Moves()}
+		for c, n := range l.Limits() {
+			rep.Limits[int(c)] = n
+		}
+		r.out.Fairness = rep
+	}
 }
 
 // applyTenants installs a tenants block on the fresh stack: every
@@ -956,59 +924,35 @@ func (r *run) autoscaleReport() *AutoscaleReport {
 	return rep
 }
 
-// sloReport snapshots the attached SLO loop's state.
-func (r *run) sloReport() *SLOReport {
-	slo, other := r.slo.Limits()
-	rep := &SLOReport{
-		Class:      r.sloClass,
-		SLOLimit:   slo,
-		OtherLimit: other,
-		Iterations: r.slo.Iterations(),
-	}
-	if d, ok := r.slo.Last(); ok {
-		rep.LastMeasured = d.Measured
-	}
-	return rep
-}
-
 // attachSLO builds and wires the latency-SLO controller on the lone
 // frontend (the capability table keeps it off sharded stacks), which
 // gets percentile sampling enabled on the spot if the configuration
 // did not already.
 func (r *run) attachSLO(spec SLOSpec) error {
-	class, err := spec.protected()
-	if err != nil {
-		return err
-	}
-	if r.ctl != nil {
-		return fmt.Errorf("runner: the SLO loop and the throughput controller share the metrics window; disable the controller first")
-	}
-	if r.fair != nil {
-		return fmt.Errorf("runner: the SLO loop and the fairness controller share the metrics window; disable fairness first")
-	}
-	fe := r.st.FE.Frontend
-	if !fe.PercentilesEnabled() {
-		seed := r.st.Seed
-		if seed == 0 {
-			seed = 1
+	return r.loop.Attach(loopSLO, func() (controller.Loop, error) {
+		class, err := spec.protected()
+		if err != nil {
+			return nil, err
 		}
-		fe.EnablePercentiles(sloSampleCapacity, seed)
-	}
-	slo, err := controller.NewSLO(r.st.Eng.Clock(), fe, controller.SLOConfig{
-		Target: controller.SLOTarget{
-			Class:      class,
-			Percentile: spec.Percentile,
-			Target:     spec.Target,
-		},
-		MinObservations: spec.MinObservations,
-		Margin:          spec.Margin,
+		fe := r.st.FE.Frontend
+		if !fe.PercentilesEnabled() {
+			fe.EnablePercentiles(sloSampleCapacity, cmp.Or(r.st.Seed, 1))
+		}
+		slo, err := controller.NewSLO(r.st.Eng.Clock(), fe, controller.SLOConfig{
+			Target: controller.SLOTarget{
+				Class:      class,
+				Percentile: spec.Percentile,
+				Target:     spec.Target,
+			},
+			MinObservations: spec.MinObservations,
+			Margin:          spec.Margin,
+		})
+		if err != nil {
+			return nil, err
+		}
+		r.sloClass = cmp.Or(spec.Class, "high")
+		return slo, nil
 	})
-	if err != nil {
-		return err
-	}
-	r.slo = slo
-	r.sloClass = cmp.Or(spec.Class, "high")
-	return nil
 }
 
 // sloSampleCapacity is the reservoir size attachSLO enables when the
@@ -1018,36 +962,11 @@ const sloSampleCapacity = 2048
 
 // attachFairness builds and wires the N-tenant max-min fairness
 // controller on the lone frontend (the capability table keeps it off
-// sharded stacks). The loop is mutually exclusive with the SLO loop and
-// the throughput controller: all three reset the frontend's metrics
-// window per reaction.
+// sharded stacks).
 func (r *run) attachFairness(cfg fairness.Config) error {
-	if r.slo != nil {
-		return fmt.Errorf("runner: the fairness controller and the SLO loop share the metrics window; disable the SLO loop first")
-	}
-	if r.ctl != nil {
-		return fmt.Errorf("runner: the fairness controller and the throughput controller share the metrics window; disable the controller first")
-	}
-	fair, err := fairness.New(r.st.FE.Frontend, cfg)
-	if err != nil {
-		return err
-	}
-	r.fair = fair
-	return nil
-}
-
-// fairReport snapshots the attached fairness loop's state.
-func (r *run) fairReport() *FairnessReport {
-	limits := r.fair.Limits()
-	rep := &FairnessReport{
-		Limits:     make(map[int]int, len(limits)),
-		Iterations: r.fair.Iterations(),
-		Moves:      r.fair.Moves(),
-	}
-	for c, l := range limits {
-		rep.Limits[int(c)] = l
-	}
-	return rep
+	return r.loop.Attach(loopFairness, func() (controller.Loop, error) {
+		return fairness.New(r.st.FE.Frontend, cfg)
+	})
 }
 
 // beginMeasurement opens the measurement window at the engine's
@@ -1151,7 +1070,7 @@ func (r *run) runPhase(ctx context.Context, ph Phase) (stopEarly bool, err error
 			r.emitSnapshot(ph)
 			r.nextSnap += r.spec.SampleInterval
 		}
-		if r.stopOnConverge && r.ctl != nil && r.ctl.Converged() {
+		if r.stopOnConverge && r.converged() {
 			return true, nil
 		}
 		if t >= phaseEnd {
@@ -1243,19 +1162,17 @@ func (r *run) applyEvent(ev Event) error {
 			return err
 		}
 	}
-	// Both disables run before either enable, so one event can hand
-	// control from one loop to the other ({disable_controller,
-	// set_slo} and {disable_slo, enable_controller} both work).
+	// The disables run before the enables, so one event can hand
+	// control from one loop to another ({disable_controller, set_slo}
+	// and {disable_slo, enable_controller} both work); CheckStack
+	// replays them in this order. A detached loop's outcome is recorded
+	// so the run's report survives the disable.
 	if ev.DisableSLO {
-		if r.slo != nil {
-			r.sloFinal = r.sloReport()
-			r.slo = nil
-		}
+		r.record(r.loop.Detach(loopSLO))
 	}
 	if ev.DisableFairness {
-		if r.fair != nil {
-			r.fairFinal = r.fairReport()
-			r.fair = nil
+		if l := r.loop.Detach(loopFairness); l != nil {
+			r.record(l)
 			// The partition stays where the loop left it, but a strict
 			// cap relaxes: without a controller rebalancing it, a hard
 			// cap could idle capacity forever.
@@ -1263,14 +1180,7 @@ func (r *run) applyEvent(ev Event) error {
 		}
 	}
 	if ev.DisableController {
-		// Record the detached loop's outcome before dropping it, so the
-		// run's TuneReport survives the disable.
-		if r.ctl != nil && r.tune != nil {
-			r.tune.FinalMPL = gate.MPL()
-			r.tune.Iterations = r.ctl.Iterations()
-			r.tune.Converged = r.ctl.Converged()
-		}
-		r.ctl = nil
+		r.record(r.loop.Detach(loopController))
 		r.stopOnConverge = false
 	}
 	if ev.SetSLO != nil {
@@ -1288,31 +1198,26 @@ func (r *run) applyEvent(ev Event) error {
 		}
 	}
 	if cs := ev.EnableController; cs != nil {
-		if r.slo != nil {
-			return fmt.Errorf("runner: the throughput controller and the SLO loop share the metrics window; disable the SLO loop first")
-		}
-		if r.fair != nil {
-			return fmt.Errorf("runner: the throughput controller and the fairness controller share the metrics window; disable fairness first")
-		}
-		ctl, err := controller.New(st.Eng.Clock(), gate, controller.Config{
-			Targets: controller.Targets{
-				MaxThroughputLoss: cs.MaxThroughputLoss,
-				MaxRTIncrease:     cs.MaxRTIncrease,
-			},
-			Reference: controller.Reference{
-				MaxThroughput: cs.ReferenceThroughput,
-				OptimalRT:     cs.ReferenceRT,
-			},
-			MinObservations: cs.MinObservations,
-			HoldWindows:     cs.HoldWindows,
+		err := r.loop.Attach(loopController, func() (controller.Loop, error) {
+			return controller.New(st.Eng.Clock(), gate, controller.Config{
+				Targets: controller.Targets{
+					MaxThroughputLoss: cs.MaxThroughputLoss,
+					MaxRTIncrease:     cs.MaxRTIncrease,
+				},
+				Reference: controller.Reference{
+					MaxThroughput: cs.ReferenceThroughput,
+					OptimalRT:     cs.ReferenceRT,
+				},
+				MinObservations: cs.MinObservations,
+				HoldWindows:     cs.HoldWindows,
+			})
 		})
 		if err != nil {
 			return err
 		}
-		r.ctl = ctl
 		r.stopOnConverge = cs.StopOnConverge
-		if r.tune == nil {
-			r.tune = &TuneReport{StartMPL: gate.MPL()}
+		if r.out.Tune == nil {
+			r.out.Tune = &TuneReport{StartMPL: gate.MPL()}
 		}
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"extsched/internal/runner"
 	"extsched/internal/trace"
@@ -173,10 +174,11 @@ type Result struct {
 // dbsim prints it with -scenario-example, and the fuzz corpus seeds
 // from it): three weighted tenants under the strict max-min fairness
 // controller through a steady closed phase, an open ramp surge that
-// swaps the fairness loop for the throughput feedback controller
-// (the two share the metrics window, so only one runs at a time) and
+// swaps the fairness loop for the throughput feedback controller and
 // rebalances the tenant weights mid-flight, and a synthesized bursty
-// trace replay.
+// trace replay. Every control loop shares the one metrics window, so
+// the surge disables fairness before the controller attaches; without
+// that event the scenario would be refused before it ran.
 const ExampleScenarioJSON = `{
   "name": "surge-demo",
   "warmup": 30,
@@ -281,6 +283,13 @@ func (s *System) Run(ctx context.Context, sc Scenario, obs ...metrics.Observer) 
 // runScenario is Run with an optional MPL override for the fresh stack
 // (AutoTune starts at the model's jump-start value, not Config.MPL).
 func (s *System) runScenario(ctx context.Context, sc Scenario, initialMPL *int, obs ...metrics.Observer) (Result, error) {
+	if slo := s.cfg.SLO; slo != nil && len(sc.Phases) > 0 {
+		// Config.SLO is a set_slo event opening the first phase, added
+		// to a copy so the caller's scenario is left alone.
+		sc.Phases = slices.Clone(sc.Phases)
+		first := &sc.Phases[0]
+		first.Events = append([]Event{{SetSLO: slo}}, first.Events...)
+	}
 	// Vet the scenario against this System's fleet before building
 	// anything; runner.Run repeats the same checks on the stack.
 	if err := sc.Validate(); err != nil {

@@ -518,6 +518,88 @@ func TestSLOScenarioRerunBitIdentical(t *testing.T) {
 	}
 }
 
+// TestLoopConflictRefusedBeforeRun: a scenario that attaches the SLO
+// loop while the feedback controller still holds the metrics window is
+// refused before any simulated time passes — no snapshot reaches the
+// observer — with the phase and event named; disabling the controller
+// in the same event hands the window over and runs.
+func TestLoopConflictRefusedBeforeRun(t *testing.T) {
+	sys, err := NewSystem(Config{SetupID: 1, MPL: 8, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenario := func(handover Event) Scenario {
+		return Scenario{
+			SampleInterval: 10,
+			Phases: []Phase{
+				{Name: "tune", Kind: PhaseClosed, Clients: 50, Duration: 100,
+					Events: []Event{{EnableController: &ControllerSpec{MaxThroughputLoss: 0.05, ReferenceThroughput: 95}}}},
+				{Name: "protect", Kind: PhaseClosed, Clients: 50, Duration: 50,
+					Events: []Event{handover}},
+			},
+		}
+	}
+	var obs metrics.Collector
+	_, err = sys.Run(context.Background(), scenario(Event{SetSLO: &SLOSpec{Target: 0.5}}), &obs)
+	if err == nil || !strings.Contains(err.Error(), "phase 1 (protect) event 0") ||
+		!strings.Contains(err.Error(), "share the metrics window") {
+		t.Errorf("conflicting scenario: err = %v, want a loop conflict at phase 1 event 0", err)
+	}
+	if len(obs.Snapshots) != 0 {
+		t.Errorf("refused scenario emitted %d snapshots, want none", len(obs.Snapshots))
+	}
+	res, err := sys.Run(context.Background(), scenario(Event{DisableController: true, SetSLO: &SLOSpec{Target: 0.5}}))
+	if err != nil {
+		t.Fatalf("handover in one event: %v", err)
+	}
+	if res.Tune == nil || res.SLO == nil || res.SLO.Iterations == 0 {
+		t.Errorf("handover run: tune %+v, SLO %+v; want both loops reported", res.Tune, res.SLO)
+	}
+}
+
+// TestConfigSLOIsFirstPhaseEvent: Config.SLO runs a scenario exactly
+// as a set_slo event at offset 0 of its first phase does.
+func TestConfigSLOIsFirstPhaseEvent(t *testing.T) {
+	slo := &SLOSpec{Target: 0.5}
+	phases := func(first ...Event) []Phase {
+		return []Phase{
+			{Name: "open", Kind: PhaseOpen, Lambda: 65, Duration: 60, Events: first},
+			{Name: "burst", Kind: PhaseBurst, Lambda: 105, BurstFactor: 3, BurstPeriod: 15, Duration: 90},
+		}
+	}
+	run := func(cfg Config, sc Scenario) (Result, []metrics.Snapshot) {
+		t.Helper()
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var obs metrics.Collector
+		res, err := sys.Run(context.Background(), sc, &obs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, obs.Snapshots
+	}
+	cfg := Config{SetupID: 1, MPL: 12, PercentileSamples: 2048, Seed: 31}
+	base := Scenario{Warmup: 10, SampleInterval: 10}
+	withEvent := base
+	withEvent.Phases = phases(Event{SetSLO: slo})
+	r1, s1 := run(cfg, withEvent)
+	cfg.SLO = slo
+	withConfig := base
+	withConfig.Phases = phases()
+	r2, s2 := run(cfg, withConfig)
+	if r1.SLO == nil || r1.SLO.Iterations == 0 {
+		t.Fatalf("the set_slo run reported no SLO iterations: %+v", r1.SLO)
+	}
+	if !reflect.DeepEqual(r1, r2) || !reflect.DeepEqual(s1, s2) {
+		t.Errorf("Config.SLO run differs from the set_slo run:\n%+v\nvs\n%+v", r2.SLO, r1.SLO)
+	}
+	if len(withConfig.Phases[0].Events) != 0 {
+		t.Error("Config.SLO was added to the caller's scenario")
+	}
+}
+
 // TestSLOEventsRequireUnsharded: the SLO partition lives on the lone
 // frontend; pointing it at a sharded system fails loudly.
 func TestSLOEventsRequireUnsharded(t *testing.T) {
